@@ -24,7 +24,7 @@ from .continuous import (
     lyapunov_value,
     run_continuous,
 )
-from .discrete import DiscreteConfig, back_sensors, discrete_step, run_discrete
+from .discrete import DiscreteConfig, discrete_step, run_discrete
 from .geometry import (
     Disc,
     Hull,
@@ -55,7 +55,6 @@ __all__ = [
     "Trace",
     "Vec2",
     "back_halfplane_occupied",
-    "back_sensors",
     "blind_zone_sensor",
     "check_lyapunov_monotone",
     "check_separation_band",

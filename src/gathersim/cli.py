@@ -8,9 +8,9 @@ import argparse
 import sys
 
 from .bounds import compute_bounds
-from .continuous import ContinuousConfig, run_continuous
-from .discrete import DiscreteConfig, run_discrete
-from .harness import SweepConfig, fit_sweep, run_sweep
+from .continuous import ContinuousConfig
+from .discrete import DiscreteConfig
+from .harness import SweepConfig, fit_sweep, run_sweep, single_run
 from .io import (
     bounds_json,
     fit_json_path_for,
@@ -41,8 +41,9 @@ def _add_model_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--substep", type=float, default=1e-3,
                         help="integration substep, continuous model only (default 1e-3)")
     parser.add_argument("--steps", type=int, default=None,
-                        help="cap on steps (discrete, default 100000) or unit "
-                             "intervals (continuous, default 10000)")
+                        help=f"cap on steps (discrete, default {DiscreteConfig.max_steps}) "
+                             f"or unit intervals (continuous, default "
+                             f"{ContinuousConfig.max_intervals})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,15 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sim(args) -> int:
-    if args.model == "discrete":
-        config = DiscreteConfig(n=args.n, spread=args.spread, seed=args.seed,
-                                max_steps=100_000 if args.steps is None else args.steps)
-        trace, summary = run_discrete(config, record_every=args.record_every)
-    else:
-        config = ContinuousConfig(n=args.n, delta=args.delta, substep=args.substep,
-                                  spread=args.spread, seed=args.seed,
-                                  max_intervals=10_000 if args.steps is None else args.steps)
-        trace, summary = run_continuous(config, record_every=args.record_every)
+    trace, summary = single_run(args.model, args.n, args.seed, args.spread, args.delta,
+                                args.substep, args.steps, record_every=args.record_every)
     write_trace_csv(trace, args.trace)
     if trace.model == "continuous":
         write_series_csv(trace, series_path_for(args.trace))
@@ -101,7 +95,7 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig(model=args.model, n_values=args.n_list, reps=args.reps,
                          base_seed=args.base_seed, spread=args.spread,
                          delta=args.delta, substep=args.substep,
-                         max_steps=args.steps, out=args.out)
+                         max_steps=args.steps)
     summaries = run_sweep(config)
     write_summaries_csv(summaries, args.out)
     fit, n_means, excluded = fit_sweep(summaries)

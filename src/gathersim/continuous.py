@@ -6,7 +6,9 @@ position snapshot, then every free agent advances speed * substep along its
 heading (an agent may therefore stop and restart within one interval as the
 constellation evolves around it). An agent's sensor ignores everything
 within distance delta of it, in every direction: agent j blocks agent i iff
-d_ij > delta and j lies in i's closed back half-plane.
+d_ij > delta and j lies in i's closed back half-plane. This is the discrete
+model's sensor with a blind zone, and both models share its kernel
+(`geometry.blocked_agents`) and their run loop (`state.run_loop`).
 
 In the exact dynamics a pair within delta can never separate beyond delta:
 the agent moving away has the other in its closed back half-plane as soon
@@ -39,9 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_points, min_enclosing_disc
-from .rng import make_rng
-from .state import Constellation, Frame, RunSummary, Trace, draw_headings, init_constellation
+from .geometry import _agent_blocked, as_points, blocked_agents, min_enclosing_disc
+from .state import Constellation, RunSummary, Trace, draw_headings, run_loop
 
 try:
     from numba import njit
@@ -62,19 +63,16 @@ class ContinuousConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        for name in ("delta", "spread", "speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.substep <= 1.0:
             raise ValueError("substep must lie in (0, 1]")
         nsub = round(1.0 / self.substep)
         if nsub < 1 or abs(nsub * self.substep - 1.0) > 1e-9:
             raise ValueError("substep must divide the unit interval exactly")
-        if self.spread <= 0:
-            raise ValueError("spread must be > 0")
         if self.max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be > 0")
 
     @property
     def nsub(self) -> int:
@@ -92,20 +90,9 @@ def blind_zone_sensor(i: int, positions, heading, delta: float) -> bool:
     """True iff some agent j != i is BOTH farther than delta from agent i
     AND inside i's closed back half-plane. Agents within delta are invisible
     regardless of direction."""
-    pts = as_points(positions)
-    h = np.asarray(heading, dtype=float).reshape(2)
-    if abs(math.hypot(h[0], h[1]) - 1.0) > 1e-12:
-        raise ValueError("heading must be a unit vector (|norm - 1| <= 1e-12)")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if not 0 <= i < len(pts):
-        raise ValueError(f"agent index {i} out of range for {len(pts)} agents")
-    diff = pts - pts[i]
-    dist2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    dots = diff @ h
-    mask = (dist2 > delta * delta) & (dots <= 0.0)
-    mask[i] = False
-    return bool(mask.any())
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be finite and > 0")
+    return _agent_blocked(i, positions, heading, delta * delta)
 
 
 def _advance_interval_numpy(pos, hx, hy, delta2, step, nsub):
@@ -114,10 +101,8 @@ def _advance_interval_numpy(pos, hx, hy, delta2, step, nsub):
     moved = np.zeros(n, dtype=bool)
     hvec = np.stack([hx, hy], axis=1)
     for _ in range(nsub):
-        dx = pos[None, :, 0] - pos[:, None, 0]
-        dy = pos[None, :, 1] - pos[:, None, 1]
-        near = dx * dx + dy * dy <= delta2
-        free = ~(~near & (hx[:, None] * dx + hy[:, None] * dy <= 0.0)).any(axis=1)
+        blocked, near = blocked_agents(pos, hx, hy, delta2)
+        free = ~blocked
         guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
         while True:
             new = pos.copy()
@@ -244,8 +229,8 @@ def lyapunov_value(positions, delta: float) -> LyapunovState:
     open disc of radius delta, otherwise the sum of all pairwise distances
     exceeding delta (each unordered pair contributes twice)."""
     pts = as_points(positions)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be finite and > 0")
     if min_enclosing_disc(pts).radius < delta:
         return LyapunovState(0.0, True)
     return LyapunovState(_separated_sum(pts, delta), False)
@@ -257,41 +242,15 @@ def run_continuous(config: ContinuousConfig, rng=None, record_every: int = 1,
     radius strictly below delta, checked at interval boundaries) or
     max_intervals is reached. Pass `initial` to start from a prepared
     constellation instead of the seeded uniform placement."""
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if rng is None:
-        rng = make_rng(config.seed)
-
-    state = initial if initial is not None else init_constellation(config, rng)
-    if state.n != config.n:
-        raise ValueError("initial constellation size does not match config.n")
-    trace = Trace(model="continuous")
-    moved = np.zeros(config.n, dtype=bool)
-
-    def observe(k, moved_flags):
+    def observe(trace, state, k, record):
         radius = min_enclosing_disc(state.positions).radius
         confined = radius < config.delta
         value = 0.0 if confined else _separated_sum(state.positions, config.delta)
         trace.series.append((k, radius, value, confined))
-        if collect_trace and (k % record_every == 0 or confined or k == config.max_intervals):
-            trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(),
-                                      moved_flags.copy(), radius, lyapunov=value,
-                                      confined=confined))
-        return confined, radius
+        return confined, radius, (value, confined)
 
-    confined, radius = observe(0, moved)
-    converged = 0 if confined else None
-    while converged is None and state.step_index < config.max_intervals:
-        prev_positions = state.positions
-        state = continuous_interval(state, config, rng)
-        moved = np.any(state.positions != prev_positions, axis=1)
-        confined, radius = observe(state.step_index, moved)
-        if confined:
-            converged = state.step_index
-
-    summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,
-                         converged_step=converged, final_radius=radius)
-    return trace, summary
+    return run_loop("continuous", config, config.max_intervals, continuous_interval, observe,
+                    rng, record_every, collect_trace, initial)
 
 
 def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tuple]:

@@ -3,16 +3,18 @@
 Each unit step every agent redraws a uniform heading, then jumps forward a
 fixed step iff the closed half-plane behind its new heading contains no
 other agent. Sensing is evaluated for all agents against the pre-move
-positions, so the update is fully synchronous.
+positions, so the update is fully synchronous. The sensor is the continuous
+model's kernel (`geometry.blocked_agents`) without a blind zone, and runs go
+through the run loop both models share (`state.run_loop`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import min_enclosing_disc
-from .rng import make_rng
-from .state import Constellation, Frame, RunSummary, Trace, draw_headings, init_constellation
+from .geometry import blocked_agents, min_enclosing_disc
+from .state import Constellation, RunSummary, Trace, draw_headings, run_loop
 
 
 @dataclass
@@ -27,23 +29,11 @@ class DiscreteConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.spread <= 0:
-            raise ValueError("spread must be > 0")
+        for name in ("step_size", "spread", "convergence_radius"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.convergence_radius <= 0:
-            raise ValueError("convergence_radius must be > 0")
-
-
-def back_sensors(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
-    """Blocked flags for all agents at once: blocked[i] is True iff some
-    j != i lies in agent i's closed back half-plane."""
-    diff = positions[None, :, :] - positions[:, None, :]
-    dots = hx[:, None] * diff[..., 0] + hy[:, None] * diff[..., 1]
-    np.fill_diagonal(dots, np.inf)
-    return (dots <= 0.0).any(axis=1)
 
 
 def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headings=None) -> Constellation:
@@ -63,7 +53,7 @@ def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headin
         raise ValueError("headings must have one entry per agent")
     hx = np.cos(headings)
     hy = np.sin(headings)
-    free = ~back_sensors(state.positions, hx, hy)
+    free = ~blocked_agents(state.positions, hx, hy, -1.0)[0]
     positions = state.positions.copy()
     positions[free, 0] += config.step_size * hx[free]
     positions[free, 1] += config.step_size * hy[free]
@@ -86,42 +76,11 @@ def run_discrete(config: DiscreteConfig, rng=None, record_every: int = 1,
     Pass `initial` to start from a prepared constellation instead of the
     seeded uniform placement.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    if rng is None:
-        rng = make_rng(config.seed)
-
-    state = initial if initial is not None else init_constellation(config, rng)
-    if state.n != config.n:
-        raise ValueError("initial constellation size does not match config.n")
-    radius = min_enclosing_disc(state.positions).radius
-    trace = Trace(model="discrete")
-    if collect_trace:
-        trace.frames.append(Frame(0, state.positions.copy(), state.headings.copy(),
-                                  np.zeros(config.n, dtype=bool), radius))
-    converged = 0 if radius <= config.convergence_radius else None
-
-    moved = np.zeros(config.n, dtype=bool)
-    while converged is None and state.step_index < config.max_steps:
-        prev_positions = state.positions
-        state = discrete_step(state, config, rng)
-        moved = np.any(state.positions != prev_positions, axis=1)
-        k = state.step_index
-        record = collect_trace and k % record_every == 0
+    def observe(trace, state, k, record):
         radius = None
         if record or _bbox_halfwidth(state.positions) <= config.convergence_radius:
             radius = min_enclosing_disc(state.positions).radius
-        if record:
-            trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(),
-                                      moved.copy(), radius))
-        if radius is not None and radius <= config.convergence_radius:
-            converged = k
+        return radius is not None and radius <= config.convergence_radius, radius, ()
 
-    if radius is None:
-        radius = min_enclosing_disc(state.positions).radius
-    if collect_trace and trace.frames[-1].step != state.step_index:
-        trace.frames.append(Frame(state.step_index, state.positions.copy(),
-                                  state.headings.copy(), moved.copy(), radius))
-    summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,
-                         converged_step=converged, final_radius=radius)
-    return trace, summary
+    return run_loop("discrete", config, config.max_steps, discrete_step, observe, rng,
+                    record_every, collect_trace, initial)

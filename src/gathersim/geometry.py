@@ -1,8 +1,9 @@
 """Planar primitives shared by the dynamics engines and the bounds module.
 
-Only what the simulators and the convergence analysis consume: half-plane
-occupancy tests, strictly convex hulls, hull corner angles, and the minimal
-enclosing disc. Coordinates are float64 throughout; angles are radians.
+Only what the simulators and the convergence analysis consume: the
+back-half-plane sensor kernel of both models, strictly convex hulls, hull
+corner angles, and the minimal enclosing disc. Coordinates are float64
+throughout; angles are radians.
 """
 
 import math
@@ -119,6 +120,25 @@ def corner_angles(hull: Hull) -> np.ndarray:
     return np.pi - turn
 
 
+def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
+                   delta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sensor of every agent at once, for headings (hx, hy).
+
+    blocked[i] is True iff some agent j != i with squared distance > delta2
+    lies in agent i's closed back half-plane (dot product <= 0). near[i, j]
+    is True iff the squared distance is <= delta2, and always on the
+    diagonal. A negative delta2 (the discrete model passes -1) is the sensor
+    without a blind zone, under which coincident agents block each other.
+    Dense (n, n) temporaries.
+    """
+    dx = positions[None, :, 0] - positions[:, None, 0]
+    dy = positions[None, :, 1] - positions[:, None, 1]
+    # with no blind zone only the agent itself is near; otherwise the zero
+    # self-distance already is
+    near = np.eye(len(positions), dtype=bool) if delta2 < 0.0 else dx * dx + dy * dy <= delta2
+    return (~near & (hx[:, None] * dx + hy[:, None] * dy <= 0.0)).any(axis=1), near
+
+
 def back_halfplane_occupied(i: int, positions, heading) -> bool:
     """True iff some agent j != i lies in the closed half-plane behind agent i.
 
@@ -126,15 +146,19 @@ def back_halfplane_occupied(i: int, positions, heading) -> bool:
     so coincident agents block each other. `heading` must be a unit vector
     within 1e-12.
     """
+    return _agent_blocked(i, positions, heading, -1.0)
+
+
+def _agent_blocked(i: int, positions, heading, delta2: float) -> bool:
+    """blocked_agents for agent i alone, with the public sensors' checks."""
     pts = as_points(positions)
     h = np.asarray(heading, dtype=float).reshape(2)
     if abs(math.hypot(h[0], h[1]) - 1.0) > 1e-12:
         raise ValueError("heading must be a unit vector (|norm - 1| <= 1e-12)")
     if not 0 <= i < len(pts):
         raise ValueError(f"agent index {i} out of range for {len(pts)} agents")
-    dots = (pts - pts[i]) @ h
-    dots[i] = np.inf
-    return bool((dots <= 0.0).any())
+    n = len(pts)
+    return bool(blocked_agents(pts, np.full(n, h[0]), np.full(n, h[1]), delta2)[0][i])
 
 
 def min_enclosing_disc(points) -> Disc:

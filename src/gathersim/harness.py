@@ -23,13 +23,14 @@ class SweepConfig:
     substep: float = 1e-3
     convergence_radius: float = 1.0
     max_steps: int | None = None  # per-run cap; model default when None
-    out: str | None = None
 
     def __post_init__(self):
         if self.model not in ("discrete", "continuous"):
             raise ValueError(f"unknown model {self.model!r}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n_values must be non-empty with every n >= 1")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError("n_values must not repeat")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
 
@@ -40,19 +41,20 @@ class FitResult(NamedTuple):
     pearson_r: float
 
 
-def _single_run(config: SweepConfig, n: int, seed: int) -> RunSummary:
-    cap = config.max_steps
-    if config.model == "discrete":
-        cfg = DiscreteConfig(n=n, spread=config.spread, seed=seed,
-                             max_steps=100_000 if cap is None else cap,
-                             convergence_radius=config.convergence_radius)
-        _, summary = run_discrete(cfg, collect_trace=False)
-    else:
-        cfg = ContinuousConfig(n=n, delta=config.delta, substep=config.substep,
-                               spread=config.spread, seed=seed,
-                               max_intervals=10_000 if cap is None else cap)
-        _, summary = run_continuous(cfg, collect_trace=False)
-    return summary
+def single_run(model: str, n: int, seed: int, spread: float, delta: float, substep: float,
+               steps: int | None = None, convergence_radius: float | None = None, **run_opts):
+    """One seeded run of either model from the parameters `sim` and `sweep`
+    share; returns (trace, summary). `steps` caps the run (discrete steps or
+    unit intervals) and `convergence_radius` is the discrete target; each
+    keeps its config default when None. `run_opts` go to the run function."""
+    if model == "discrete":
+        given = {"max_steps": steps, "convergence_radius": convergence_radius}
+        config = DiscreteConfig(n=n, spread=spread, seed=seed,
+                                **{k: v for k, v in given.items() if v is not None})
+        return run_discrete(config, **run_opts)
+    config = ContinuousConfig(n=n, delta=delta, substep=substep, spread=spread, seed=seed,
+                              **({} if steps is None else {"max_intervals": steps}))
+    return run_continuous(config, **run_opts)
 
 
 def run_sweep(config: SweepConfig) -> list[RunSummary]:
@@ -67,7 +69,9 @@ def run_sweep(config: SweepConfig) -> list[RunSummary]:
     for n in sorted(config.n_values):
         for rep in range(config.reps):
             seed = derive_seed(config.base_seed, n, rep)
-            summary = _single_run(config, n, seed)
+            _, summary = single_run(config.model, n, seed, config.spread, config.delta,
+                                    config.substep, config.max_steps,
+                                    config.convergence_radius, collect_trace=False)
             summary.run_id = run_id
             summaries.append(summary)
             run_id += 1

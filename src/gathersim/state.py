@@ -1,9 +1,13 @@
-"""World state containers and uniform initialization shared by both engines."""
+"""World state containers, uniform initialization and the run loop shared
+by both engines."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geometry import min_enclosing_disc
+from .rng import make_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,3 +92,45 @@ def init_constellation(config, rng: np.random.Generator) -> Constellation:
     positions = rng.uniform(0.0, config.spread, (config.n, 2))
     headings = draw_headings(rng, config.n)
     return Constellation(positions, headings, step_index=0)
+
+
+def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every: int = 1,
+             collect_trace: bool = True, initial: Constellation | None = None):
+    """Drive one run of either model: observe the start, then apply `step`
+    (one discrete jump or one unit interval) until the observer reports
+    convergence or the state's step index reaches `cap`.
+
+    `step(state, config, rng)` returns the next Constellation.
+    `observe(trace, state, k, record)` returns (converged, radius, extra):
+    radius may be None unless `record` is set or the run converged, and
+    `extra` holds the Frame fields after radius. The trace records every record_every-th frame
+    and the final one. Non-convergence is a data outcome, not an error.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if rng is None:
+        rng = make_rng(config.seed)
+    state = initial if initial is not None else init_constellation(config, rng)
+    if state.n != config.n:
+        raise ValueError("initial constellation size does not match config.n")
+    trace = Trace(model=model)
+    moved = np.zeros(config.n, dtype=bool)
+    k = 0
+    while True:
+        record = collect_trace and k % record_every == 0
+        converged, radius, extra = observe(trace, state, k, record)
+        last = converged or state.step_index >= cap
+        if last and radius is None:
+            radius = min_enclosing_disc(state.positions).radius
+        if record or (collect_trace and last):
+            trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(),
+                                      moved.copy(), radius, *extra))
+        if last:
+            break
+        prev_positions = state.positions
+        state = step(state, config, rng)
+        moved = np.any(state.positions != prev_positions, axis=1)
+        k = state.step_index
+    summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,
+                         converged_step=k if converged else None, final_radius=radius)
+    return trace, summary

@@ -103,6 +103,18 @@ def test_invalid_arguments_exit_2(tmp_path):
                  "--trace", str(tmp_path / "t.csv"),
                  "--summary", str(tmp_path / "s.csv")]) == 2
     assert main(["bounds", "--n", "1", "--delta", "0.1", "--dmax", "5"]) == 2
+    # non-finite floats are domain errors, not crashes or runs that cannot end
+    for model, flag in (("discrete", "--spread"), ("continuous", "--spread"),
+                        ("continuous", "--delta")):
+        for bad in ("nan", "inf"):
+            assert main(["sim", "--model", model, "--n", "4", "--seed", "0", flag, bad,
+                         "--trace", str(tmp_path / "t.csv"),
+                         "--summary", str(tmp_path / "s.csv")]) == 2
+    # a repeated n is rejected before any run
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--model", "discrete", "--n-list", "10,10", "--reps", "1",
+                 "--base-seed", "0", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unwritable_output_exit_3(tmp_path):

@@ -81,6 +81,10 @@ def naive_interval(positions, chi, delta, speed, substep, nsub):
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuousConfig(n=1, delta=0.0)
+    for field in ("delta", "substep", "spread", "speed"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ContinuousConfig(n=1, **{field: bad})
     with pytest.raises(ValueError):
         ContinuousConfig(n=1, substep=0.3)  # does not divide the unit interval
     with pytest.raises(ValueError):
@@ -108,6 +112,11 @@ def test_blind_zone_sensor_validation():
         blind_zone_sensor(0, [(0, 0), (1, 0)], (2, 0), 0.1)
     with pytest.raises(ValueError):
         blind_zone_sensor(0, [(0, 0), (1, 0)], (1, 0), 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            blind_zone_sensor(0, [(0, 0), (1, 0)], (1, 0), bad)
+        with pytest.raises(ValueError):
+            lyapunov_value([(0, 0), (1, 0)], bad)
 
 
 # ---------------------------------------------------------- integration
@@ -122,9 +131,16 @@ def test_single_agent_travels_unit_distance():
                         abs_tol=1e-9)
 
 
-@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
-def test_interval_matches_naive_reimplementation(n, seed):
-    cfg = ContinuousConfig(n=n, delta=0.1, spread=2.0, seed=seed)
+# the clustered cases start pairs within delta and so reach the sliding rule
+INTERVAL_CASES = [(2, 0, 2.0), (3, 1, 2.0), (5, 2, 2.0), (8, 3, 2.0),
+                  (2, 4, 0.08), (4, 5, 0.15), (7, 6, 0.3)]
+
+
+@pytest.mark.parametrize("n,seed,spread", INTERVAL_CASES,
+                         ids=[f"{n}-{seed}" + ("" if spread == 2.0 else f"-clustered{spread}")
+                              for n, seed, spread in INTERVAL_CASES])
+def test_interval_matches_naive_reimplementation(n, seed, spread):
+    cfg = ContinuousConfig(n=n, delta=0.1, spread=spread, seed=seed)
     rng = make_rng(cfg.seed)
     state = init_constellation(cfg, rng)
     chi = rng.uniform(0, 2 * math.pi, n)

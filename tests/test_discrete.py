@@ -18,6 +18,10 @@ def test_config_validation():
         DiscreteConfig(n=1, step_size=0.0)
     with pytest.raises(ValueError):
         DiscreteConfig(n=1, max_steps=0)
+    for field in ("step_size", "spread", "convergence_radius"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                DiscreteConfig(n=1, **{field: bad})
 
 
 # -------------------------------------------------------------- init

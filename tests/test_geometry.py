@@ -10,11 +10,11 @@ from gathersim.geometry import (
     Vec2,
     as_points,
     back_halfplane_occupied,
+    blocked_agents,
     convex_hull,
     corner_angles,
     min_enclosing_disc,
 )
-from gathersim.discrete import back_sensors
 
 
 # ---------------------------------------------------------------- oracles
@@ -252,13 +252,27 @@ def test_back_sensor_matches_angle_oracle_bulk():
 
 
 def test_back_sensors_vectorized_equals_scalar():
+    # the all-agents kernel against a pure-Python scan, without a blind zone
+    # (delta2 = -1: coincident agents block) and with one that hides pairs
     rng = np.random.default_rng(78)
-    pts = rng.uniform(0, 50, (15, 2))
-    chi = rng.uniform(0, 2 * math.pi, 15)
-    blocked = back_sensors(pts, np.cos(chi), np.sin(chi))
-    for i in range(15):
-        h = (math.cos(chi[i]), math.sin(chi[i]))
-        assert blocked[i] == back_halfplane_occupied(i, pts, h)
+    n = 15
+    pts = rng.uniform(0, 50, (n, 2))
+    pts[9] = pts[4]
+    chi = rng.uniform(0, 2 * math.pi, n)
+    hx, hy = np.cos(chi), np.sin(chi)
+    for delta2 in (-1.0, 300.0):
+        blocked, near = blocked_agents(pts, hx, hy, delta2)
+        for i in range(n):
+            hit = False
+            for j in range(n):
+                dx = pts[j, 0] - pts[i, 0]
+                dy = pts[j, 1] - pts[i, 1]
+                assert near[i, j] == (i == j or dx * dx + dy * dy <= delta2)
+                if j != i and dx * dx + dy * dy > delta2 and hx[i] * dx + hy[i] * dy <= 0.0:
+                    hit = True
+            assert blocked[i] == hit
+        assert 0 < blocked.sum() < n
+    assert near.sum() > n  # some pair within the blind zone
 
 
 def test_as_points_validation():

@@ -103,6 +103,8 @@ def test_sweep_config_validation():
         SweepConfig(model="discrete", n_values=[], reps=1, base_seed=0)
     with pytest.raises(ValueError):
         SweepConfig(model="discrete", n_values=[1], reps=0, base_seed=0)
+    with pytest.raises(ValueError):
+        SweepConfig(model="discrete", n_values=[10, 10], reps=1, base_seed=0)
 
 
 def test_fit_sweep_excludes_nonconverged():
