@@ -39,7 +39,7 @@ def step_min(n: int, delta: float) -> float:
     """Guaranteed travel min(delta * tan(pi/4n), 1) of the sharpest-corner
     agent in a successful interval; the 1 is the unit-interval speed limit."""
     _require(n >= 2, "step_min needs n >= 2")
-    _require(delta > 0, "step_min needs delta > 0")
+    _require(0 < delta < math.inf, "step_min needs finite delta > 0")
     return min(delta * math.tan(math.pi / (4.0 * n)), 1.0)
 
 
@@ -77,7 +77,7 @@ def shrink_min(n: int, delta: float) -> float:
     """Guaranteed distance decrease delta * (1 - sqrt(1 - tan^2(pi/4n))) in a
     successful interval with the partner stationary."""
     _require(n >= 2, "shrink_min needs n >= 2")
-    _require(delta > 0, "shrink_min needs delta > 0")
+    _require(0 < delta < math.inf, "shrink_min needs finite delta > 0")
     t2 = math.tan(math.pi / (4.0 * n)) ** 2
     _require(t2 < 1.0, "shrink_min undefined: tan^2(pi/4n) >= 1")
     return delta * (1.0 - math.sqrt(1.0 - t2))
@@ -88,8 +88,8 @@ def expected_time_bound(n: int, delta: float, d_max0: float) -> float:
     constellation is confined in a disc of radius delta:
     8 n^3 / (1 - sqrt(1 - tan^2(pi/4n))) * d_max0 / delta."""
     _require(n >= 2, "expected_time_bound needs n >= 2")
-    _require(delta > 0, "expected_time_bound needs delta > 0")
-    _require(d_max0 > 0, "expected_time_bound needs d_max0 > 0")
+    _require(0 < delta < math.inf, "expected_time_bound needs finite delta > 0")
+    _require(0 < d_max0 < math.inf, "expected_time_bound needs finite d_max0 > 0")
     return 8.0 * n ** 3 / (1.0 - math.sqrt(1.0 - math.tan(math.pi / (4.0 * n)) ** 2)) * (d_max0 / delta)
 
 
@@ -114,8 +114,8 @@ def compute_bounds(n: int, delta: float, d_max0: float) -> BoundsReport:
     for n = 2 (a two-point hull has no interior corner) while the remaining
     bounds stay strictly positive."""
     _require(n >= 2, "compute_bounds needs n >= 2")
-    _require(delta > 0, "compute_bounds needs delta > 0")
-    _require(d_max0 > 0, "compute_bounds needs d_max0 > 0")
+    _require(0 < delta < math.inf, "compute_bounds needs finite delta > 0")
+    _require(0 < d_max0 < math.inf, "compute_bounds needs finite d_max0 > 0")
     theta_s, gamma_s = theta_gamma(n)
     return BoundsReport(
         n=n,

@@ -36,10 +36,12 @@ def _add_model_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", required=True, choices=["discrete", "continuous"])
     parser.add_argument("--spread", type=float, default=50.0,
                         help="side of the initial square (default 50)")
-    parser.add_argument("--delta", type=float, default=0.1,
-                        help="blind-zone radius, continuous model only (default 0.1)")
-    parser.add_argument("--substep", type=float, default=1e-3,
-                        help="integration substep, continuous model only (default 1e-3)")
+    parser.add_argument("--delta", type=float, default=None,
+                        help=f"blind-zone radius, continuous model only "
+                             f"(default {ContinuousConfig.delta})")
+    parser.add_argument("--substep", type=float, default=None,
+                        help=f"integration substep, continuous model only "
+                             f"(default {ContinuousConfig.substep})")
     parser.add_argument("--steps", type=int, default=None,
                         help=f"cap on steps (discrete, default {DiscreteConfig.max_steps}) "
                              f"or unit intervals (continuous, default "

@@ -32,7 +32,10 @@ two positions.
 
 A substep in which no agent moves leaves the constellation unchanged, so
 every later substep of the interval would repeat it; the integrator stops
-the interval there.
+the interval there. The integrator, `_advance_interval`, is vectorized over
+agents with numpy; it only moves positions, and the run loop derives the
+moved flags from the position change. The Lyapunov observable is
+recorded once per interval in `Trace.series`.
 """
 
 import math
@@ -43,11 +46,6 @@ import numpy as np
 
 from .geometry import _agent_blocked, as_points, blocked_agents, min_enclosing_disc
 from .state import Constellation, RunSummary, Trace, draw_headings, run_loop
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
 
 
 @dataclass
@@ -68,8 +66,7 @@ class ContinuousConfig:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.substep <= 1.0:
             raise ValueError("substep must lie in (0, 1]")
-        nsub = round(1.0 / self.substep)
-        if nsub < 1 or abs(nsub * self.substep - 1.0) > 1e-9:
+        if self.nsub < 1 or abs(self.nsub * self.substep - 1.0) > 1e-9:
             raise ValueError("substep must divide the unit interval exactly")
         if self.max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
@@ -95,10 +92,9 @@ def blind_zone_sensor(i: int, positions, heading, delta: float) -> bool:
     return _agent_blocked(i, positions, heading, delta * delta)
 
 
-def _advance_interval_numpy(pos, hx, hy, delta2, step, nsub):
-    """Vectorized reference integrator; mutates pos, returns moved flags."""
+def _advance_interval(pos, hx, hy, delta2, step, nsub):
+    """Integrate nsub substeps of the sliding rule in place on pos."""
     n = pos.shape[0]
-    moved = np.zeros(n, dtype=bool)
     hvec = np.stack([hx, hy], axis=1)
     for _ in range(nsub):
         blocked, near = blocked_agents(pos, hx, hy, delta2)
@@ -121,80 +117,6 @@ def _advance_interval_numpy(pos, hx, hy, delta2, step, nsub):
         if not free.any():
             break
         pos[:] = new
-        moved |= free
-    return moved
-
-
-def _advance_interval_loops(pos, hx, hy, delta2, step, nsub):
-    # Same rule and arithmetic as the numpy path, written as loops for numba.
-    n = pos.shape[0]
-    moved = np.zeros(n, np.bool_)
-    free = np.zeros(n, np.bool_)
-    hold = np.zeros(n, np.bool_)
-    new = np.empty_like(pos)
-    for _ in range(nsub):
-        for i in range(n):
-            free[i] = True
-            for j in range(n):
-                if j == i:
-                    continue
-                dx = pos[j, 0] - pos[i, 0]
-                dy = pos[j, 1] - pos[i, 1]
-                if dx * dx + dy * dy > delta2 and hx[i] * dx + hy[i] * dy <= 0.0:
-                    free[i] = False
-                    break
-        while True:
-            for i in range(n):
-                new[i, 0] = pos[i, 0]
-                new[i, 1] = pos[i, 1]
-                if free[i]:
-                    new[i, 0] += step * hx[i]
-                    new[i, 1] += step * hy[i]
-                hold[i] = False
-            crossing = False
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if not (free[i] or free[j]):
-                        continue
-                    dx = pos[j, 0] - pos[i, 0]
-                    dy = pos[j, 1] - pos[i, 1]
-                    if dx * dx + dy * dy > delta2:
-                        continue
-                    ex = new[j, 0] - new[i, 0]
-                    ey = new[j, 1] - new[i, 1]
-                    if ex * ex + ey * ey <= delta2:
-                        continue
-                    crossing = True
-                    hold_i = free[i] and hx[i] * ex + hy[i] * ey <= 0.0
-                    hold_j = free[j] and hx[j] * -ex + hy[j] * -ey <= 0.0
-                    if not (hold_i or hold_j):
-                        hold_i = free[i]
-                        hold_j = free[j]
-                    if hold_i:
-                        hold[i] = True
-                    if hold_j:
-                        hold[j] = True
-            if not crossing:
-                break
-            for i in range(n):
-                if hold[i]:
-                    free[i] = False
-        any_free = False
-        for i in range(n):
-            if free[i]:
-                any_free = True
-                pos[i, 0] = new[i, 0]
-                pos[i, 1] = new[i, 1]
-                moved[i] = True
-        if not any_free:
-            break
-    return moved
-
-
-if njit is not None:
-    _advance_interval = njit(cache=True)(_advance_interval_loops)
-else:  # pragma: no cover
-    _advance_interval = _advance_interval_numpy
 
 
 def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None,
@@ -217,11 +139,14 @@ def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None
     return Constellation(pos, headings, state.step_index + 1)
 
 
-def _separated_sum(positions: np.ndarray, delta: float) -> float:
+def _lyapunov(positions: np.ndarray, delta: float, radius: float) -> LyapunovState:
+    """The observable of `lyapunov_value`, given the enclosing-disc radius."""
+    if radius < delta:
+        return LyapunovState(0.0, True)
     diff = positions[None, :, :] - positions[:, None, :]
     dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     # the sensor's test, so a pair the integrator keeps within delta is never counted
-    return float(np.sqrt(dist2[dist2 > delta * delta]).sum())
+    return LyapunovState(float(np.sqrt(dist2[dist2 > delta * delta]).sum()), False)
 
 
 def lyapunov_value(positions, delta: float) -> LyapunovState:
@@ -231,9 +156,7 @@ def lyapunov_value(positions, delta: float) -> LyapunovState:
     pts = as_points(positions)
     if not 0.0 < delta < math.inf:
         raise ValueError("delta must be finite and > 0")
-    if min_enclosing_disc(pts).radius < delta:
-        return LyapunovState(0.0, True)
-    return LyapunovState(_separated_sum(pts, delta), False)
+    return _lyapunov(pts, delta, min_enclosing_disc(pts).radius)
 
 
 def run_continuous(config: ContinuousConfig, rng=None, record_every: int = 1,
@@ -244,10 +167,9 @@ def run_continuous(config: ContinuousConfig, rng=None, record_every: int = 1,
     constellation instead of the seeded uniform placement."""
     def observe(trace, state, k, record):
         radius = min_enclosing_disc(state.positions).radius
-        confined = radius < config.delta
-        value = 0.0 if confined else _separated_sum(state.positions, config.delta)
+        value, confined = _lyapunov(state.positions, config.delta, radius)
         trace.series.append((k, radius, value, confined))
-        return confined, radius, (value, confined)
+        return confined, radius
 
     return run_loop("continuous", config, config.max_intervals, continuous_interval, observe,
                     rng, record_every, collect_trace, initial)

@@ -80,7 +80,7 @@ def run_discrete(config: DiscreteConfig, rng=None, record_every: int = 1,
         radius = None
         if record or _bbox_halfwidth(state.positions) <= config.convergence_radius:
             radius = min_enclosing_disc(state.positions).radius
-        return radius is not None and radius <= config.convergence_radius, radius, ()
+        return radius is not None and radius <= config.convergence_radius, radius
 
     return run_loop("discrete", config, config.max_steps, discrete_step, observe, rng,
                     record_every, collect_trace, initial)

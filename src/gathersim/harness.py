@@ -19,8 +19,8 @@ class SweepConfig:
     reps: int
     base_seed: int
     spread: float = 50.0
-    delta: float = 0.1
-    substep: float = 1e-3
+    delta: float | None = None  # continuous model only; config default when None
+    substep: float | None = None  # continuous model only; config default when None
     convergence_radius: float = 1.0
     max_steps: int | None = None  # per-run cap; model default when None
 
@@ -41,19 +41,27 @@ class FitResult(NamedTuple):
     pearson_r: float
 
 
-def single_run(model: str, n: int, seed: int, spread: float, delta: float, substep: float,
-               steps: int | None = None, convergence_radius: float | None = None, **run_opts):
+def _given(**options) -> dict:
+    return {k: v for k, v in options.items() if v is not None}
+
+
+def single_run(model: str, n: int, seed: int, spread: float, delta: float | None = None,
+               substep: float | None = None, steps: int | None = None,
+               convergence_radius: float | None = None, **run_opts):
     """One seeded run of either model from the parameters `sim` and `sweep`
     share; returns (trace, summary). `steps` caps the run (discrete steps or
-    unit intervals) and `convergence_radius` is the discrete target; each
-    keeps its config default when None. `run_opts` go to the run function."""
+    unit intervals), `convergence_radius` is the discrete target and
+    `delta`/`substep` are continuous only; each keeps its config default
+    when None, and giving `delta` or `substep` to the discrete model is a
+    ValueError. `run_opts` go to the run function."""
     if model == "discrete":
-        given = {"max_steps": steps, "convergence_radius": convergence_radius}
+        if delta is not None or substep is not None:
+            raise ValueError("delta and substep apply to the continuous model only")
         config = DiscreteConfig(n=n, spread=spread, seed=seed,
-                                **{k: v for k, v in given.items() if v is not None})
+                                **_given(max_steps=steps, convergence_radius=convergence_radius))
         return run_discrete(config, **run_opts)
-    config = ContinuousConfig(n=n, delta=delta, substep=substep, spread=spread, seed=seed,
-                              **({} if steps is None else {"max_intervals": steps}))
+    config = ContinuousConfig(n=n, spread=spread, seed=seed,
+                              **_given(delta=delta, substep=substep, max_intervals=steps))
     return run_continuous(config, **run_opts)
 
 

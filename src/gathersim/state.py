@@ -38,18 +38,15 @@ class Constellation:
 
 @dataclass
 class Frame:
-    """One recorded instant: positions, per-agent moved flags, disc radius.
-
-    lyapunov/confined are populated by the continuous engine only.
-    """
+    """One recorded instant: positions, headings, per-agent moved flags
+    (position changed since the previous step) and enclosing-disc radius.
+    A continuous run's Lyapunov value lives in `Trace.series`."""
 
     step: int
     positions: np.ndarray
     headings: np.ndarray
     moved: np.ndarray
     radius: float
-    lyapunov: float | None = None
-    confined: bool | None = None
 
 
 @dataclass
@@ -101,10 +98,10 @@ def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every
     convergence or the state's step index reaches `cap`.
 
     `step(state, config, rng)` returns the next Constellation.
-    `observe(trace, state, k, record)` returns (converged, radius, extra):
-    radius may be None unless `record` is set or the run converged, and
-    `extra` holds the Frame fields after radius. The trace records every record_every-th frame
-    and the final one. Non-convergence is a data outcome, not an error.
+    `observe(trace, state, k, record)` returns (converged, radius); radius
+    may be None unless `record` is set or the run converged. The trace
+    records every record_every-th frame and the final one. Non-convergence
+    is a data outcome, not an error.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -118,13 +115,13 @@ def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every
     k = 0
     while True:
         record = collect_trace and k % record_every == 0
-        converged, radius, extra = observe(trace, state, k, record)
+        converged, radius = observe(trace, state, k, record)
         last = converged or state.step_index >= cap
         if last and radius is None:
             radius = min_enclosing_disc(state.positions).radius
         if record or (collect_trace and last):
             trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(),
-                                      moved.copy(), radius, *extra))
+                                      moved.copy(), radius))
         if last:
             break
         prev_positions = state.positions

@@ -116,6 +116,18 @@ def test_bound_monotonicity_sweeps():
     assert expected_time_bound(10, 0.1, 20.0) > expected_time_bound(10, 0.1, 10.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_delta_and_dmax_domain_errors(bad):
+    # infinite input has no finite bound: inf delta would report a zero
+    # ceiling and inf d_max0 an infinite one, which is not valid JSON
+    for call in (lambda: step_min(4, bad), lambda: shrink_min(4, bad),
+                 lambda: expected_time_bound(4, bad, 50.0),
+                 lambda: expected_time_bound(4, 0.1, bad),
+                 lambda: compute_bounds(4, bad, 50.0), lambda: compute_bounds(4, 0.1, bad)):
+        with pytest.raises(ValueError):
+            call()
+
+
 # ------------------------------------------------- partial derivatives
 
 

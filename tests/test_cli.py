@@ -115,6 +115,19 @@ def test_invalid_arguments_exit_2(tmp_path):
     assert main(["sweep", "--model", "discrete", "--n-list", "10,10", "--reps", "1",
                  "--base-seed", "0", "--out", str(out)]) == 2
     assert not out.exists()
+    # the continuous-only flags are rejected for the discrete model, not ignored
+    for flag, value in (("--delta", "0.1"), ("--delta", "nan"),
+                        ("--substep", "1e-3"), ("--substep", "inf")):
+        trace = tmp_path / "dt.csv"
+        assert main(["sim", "--model", "discrete", "--n", "4", "--seed", "0", flag, value,
+                     "--trace", str(trace), "--summary", str(tmp_path / "ds.csv")]) == 2
+        assert main(["sweep", "--model", "discrete", "--n-list", "4,8", "--reps", "1",
+                     "--base-seed", "0", flag, value, "--out", str(out)]) == 2
+        assert not trace.exists() and not out.exists()
+        assert not out.with_name("sw.fit.json").exists()
+    # infinite bounds input has no finite report
+    for delta, dmax in (("inf", "50"), ("0.1", "inf"), ("nan", "50")):
+        assert main(["bounds", "--n", "4", "--delta", delta, "--dmax", dmax]) == 2
 
 
 def test_unwritable_output_exit_3(tmp_path):

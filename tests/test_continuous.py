@@ -10,8 +10,6 @@ from gathersim.continuous import (
     ContinuousConfig,
     LyapunovState,
     _advance_interval,
-    _advance_interval_loops,
-    _advance_interval_numpy,
     blind_zone_sensor,
     check_lyapunov_monotone,
     check_separation_band,
@@ -133,12 +131,19 @@ def test_single_agent_travels_unit_distance():
 
 # the clustered cases start pairs within delta and so reach the sliding rule
 INTERVAL_CASES = [(2, 0, 2.0), (3, 1, 2.0), (5, 2, 2.0), (8, 3, 2.0),
-                  (2, 4, 0.08), (4, 5, 0.15), (7, 6, 0.3)]
+                  (2, 4, 0.08), (4, 5, 0.15), (7, 6, 0.3),
+                  (2, 7, 3.0), (6, 8, 3.0), (11, 9, 3.0),
+                  (2, 10, 0.08), (4, 11, 0.15), (7, 14, 0.3)]
+
+
+def _case_id(n, seed, spread):
+    if spread == 2.0:
+        return f"{n}-{seed}"
+    return f"{n}-{seed}-{'clustered' if spread < 1.0 else 'spread'}{spread}"
 
 
 @pytest.mark.parametrize("n,seed,spread", INTERVAL_CASES,
-                         ids=[f"{n}-{seed}" + ("" if spread == 2.0 else f"-clustered{spread}")
-                              for n, seed, spread in INTERVAL_CASES])
+                         ids=[_case_id(*case) for case in INTERVAL_CASES])
 def test_interval_matches_naive_reimplementation(n, seed, spread):
     cfg = ContinuousConfig(n=n, delta=0.1, spread=spread, seed=seed)
     rng = make_rng(cfg.seed)
@@ -147,26 +152,6 @@ def test_interval_matches_naive_reimplementation(n, seed, spread):
     new = continuous_interval(state, cfg, headings=chi)
     oracle = naive_interval(state.positions, chi, cfg.delta, cfg.speed, cfg.substep, cfg.nsub)
     assert np.array_equal(new.positions, oracle)
-
-
-def test_jit_and_numpy_kernels_agree_exactly():
-    # the loop kernel runs uncompiled, so both kernels are compared whether
-    # or not numba is installed; the tight clusters exercise the sliding rule
-    rng = np.random.default_rng(9)
-    for n, spread in ((2, 3.0), (6, 3.0), (11, 3.0), (2, 0.08), (4, 0.15), (7, 0.3)):
-        pos = rng.uniform(0, spread, (n, 2))
-        chi = rng.uniform(0, 2 * math.pi, n)
-        hx, hy = np.cos(chi), np.sin(chi)
-        p1, p2 = pos.copy(), pos.copy()
-        m1 = _advance_interval_loops(p1, hx, hy, 0.01, 1e-3, 1000)
-        m2 = _advance_interval_numpy(p2, hx, hy, 0.01, 1e-3, 1000)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(m1, m2)
-        if _advance_interval is not _advance_interval_numpy:
-            p3 = pos.copy()
-            m3 = _advance_interval(p3, hx, hy, 0.01, 1e-3, 1000)
-            assert np.array_equal(p3, p2)
-            assert np.array_equal(np.asarray(m3), m2)
 
 
 def test_head_on_pair_closes_two_per_interval():
@@ -298,6 +283,16 @@ def test_run_series_and_bands():
     # lyapunov hits zero exactly at confinement
     assert trace.series[-1][2] == 0.0
     assert all(v > 0 for _, _, v, conf in trace.series[:-1] if not conf)
+
+
+def test_series_matches_public_lyapunov_value():
+    cfg = ContinuousConfig(n=5, delta=0.1, spread=2.0, seed=4, max_intervals=3000)
+    trace, summary = run_continuous(cfg, record_every=1)
+    assert summary.converged_step is not None
+    assert [f.step for f in trace.frames] == [k for k, *_ in trace.series]
+    for frame, (k, radius, value, confined) in zip(trace.frames, trace.series):
+        assert frame.step == k and frame.radius == radius
+        assert (value, confined) == tuple(lyapunov_value(frame.positions, cfg.delta))
 
 
 def test_run_deterministic():
