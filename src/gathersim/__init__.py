@@ -34,7 +34,7 @@ from .geometry import (
     corner_angles,
     min_enclosing_disc,
 )
-from .harness import FitResult, SweepConfig, detect_convergence, fit_sweep, least_squares_fit, run_sweep
+from .harness import FitResult, SweepConfig, fit_sweep, least_squares_fit, run_sweep
 from .rng import derive_seed, make_rng
 from .state import Constellation, Frame, RunSummary, Trace, draw_headings, init_constellation
 
@@ -63,7 +63,6 @@ __all__ = [
     "convex_hull",
     "corner_angles",
     "derive_seed",
-    "detect_convergence",
     "discrete_step",
     "draw_headings",
     "expected_time_bound",

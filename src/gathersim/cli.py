@@ -98,6 +98,8 @@ def _cmd_sweep(args) -> int:
                          base_seed=args.base_seed, spread=args.spread,
                          delta=args.delta, substep=args.substep,
                          max_steps=args.steps)
+    if len(config.n_values) < 2:
+        raise ValueError("a sweep fits a line over n and needs >= 2 agent counts")
     summaries = run_sweep(config)
     write_summaries_csv(summaries, args.out)
     fit, n_means, excluded = fit_sweep(summaries)

@@ -165,7 +165,7 @@ def run_continuous(config: ContinuousConfig, rng=None, record_every: int = 1,
     radius strictly below delta, checked at interval boundaries) or
     max_intervals is reached. Pass `initial` to start from a prepared
     constellation instead of the seeded uniform placement."""
-    def observe(trace, state, k, record):
+    def observe(trace, state, k):
         radius = min_enclosing_disc(state.positions).radius
         value, confined = _lyapunov(state.positions, config.delta, radius)
         trace.series.append((k, radius, value, confined))

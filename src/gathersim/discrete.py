@@ -62,7 +62,7 @@ def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headin
 
 def _bbox_halfwidth(positions: np.ndarray) -> float:
     """Cheap lower bound on the enclosing-disc radius (half the larger
-    bounding-box side); lets the run loop skip the exact disc while the
+    bounding-box side); lets the observer skip the exact disc while the
     constellation is still far from converged."""
     w = positions[:, 0].max() - positions[:, 0].min()
     h = positions[:, 1].max() - positions[:, 1].min()
@@ -76,11 +76,11 @@ def run_discrete(config: DiscreteConfig, rng=None, record_every: int = 1,
     Pass `initial` to start from a prepared constellation instead of the
     seeded uniform placement.
     """
-    def observe(trace, state, k, record):
-        radius = None
-        if record or _bbox_halfwidth(state.positions) <= config.convergence_radius:
-            radius = min_enclosing_disc(state.positions).radius
-        return radius is not None and radius <= config.convergence_radius, radius
+    def observe(trace, state, k):
+        if _bbox_halfwidth(state.positions) > config.convergence_radius:
+            return False, None
+        radius = min_enclosing_disc(state.positions).radius
+        return radius <= config.convergence_radius, radius
 
     return run_loop("discrete", config, config.max_steps, discrete_step, observe, rng,
                     record_every, collect_trace, initial)

@@ -1,5 +1,5 @@
-"""Monte-Carlo experiment orchestration: seeded sweeps over agent counts,
-convergence detection on traces, and least-squares trend fitting."""
+"""Monte-Carlo experiment orchestration: seeded sweeps over agent counts and
+least-squares trend fitting of their convergence steps."""
 
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -9,7 +9,7 @@ import numpy as np
 from .continuous import ContinuousConfig, run_continuous
 from .discrete import DiscreteConfig, run_discrete
 from .rng import derive_seed
-from .state import RunSummary, Trace
+from .state import RunSummary
 
 
 @dataclass
@@ -21,7 +21,6 @@ class SweepConfig:
     spread: float = 50.0
     delta: float | None = None  # continuous model only; config default when None
     substep: float | None = None  # continuous model only; config default when None
-    convergence_radius: float = 1.0
     max_steps: int | None = None  # per-run cap; model default when None
 
     def __post_init__(self):
@@ -46,19 +45,16 @@ def _given(**options) -> dict:
 
 
 def single_run(model: str, n: int, seed: int, spread: float, delta: float | None = None,
-               substep: float | None = None, steps: int | None = None,
-               convergence_radius: float | None = None, **run_opts):
+               substep: float | None = None, steps: int | None = None, **run_opts):
     """One seeded run of either model from the parameters `sim` and `sweep`
     share; returns (trace, summary). `steps` caps the run (discrete steps or
-    unit intervals), `convergence_radius` is the discrete target and
-    `delta`/`substep` are continuous only; each keeps its config default
-    when None, and giving `delta` or `substep` to the discrete model is a
-    ValueError. `run_opts` go to the run function."""
+    unit intervals) and `delta`/`substep` are continuous only; each keeps its
+    config default when None, and giving `delta` or `substep` to the discrete
+    model is a ValueError. `run_opts` go to the run function."""
     if model == "discrete":
         if delta is not None or substep is not None:
             raise ValueError("delta and substep apply to the continuous model only")
-        config = DiscreteConfig(n=n, spread=spread, seed=seed,
-                                **_given(max_steps=steps, convergence_radius=convergence_radius))
+        config = DiscreteConfig(n=n, spread=spread, seed=seed, **_given(max_steps=steps))
         return run_discrete(config, **run_opts)
     config = ContinuousConfig(n=n, spread=spread, seed=seed,
                               **_given(delta=delta, substep=substep, max_intervals=steps))
@@ -78,8 +74,7 @@ def run_sweep(config: SweepConfig) -> list[RunSummary]:
         for rep in range(config.reps):
             seed = derive_seed(config.base_seed, n, rep)
             _, summary = single_run(config.model, n, seed, config.spread, config.delta,
-                                    config.substep, config.max_steps,
-                                    config.convergence_radius, collect_trace=False)
+                                    config.substep, config.max_steps, collect_trace=False)
             summary.run_id = run_id
             summaries.append(summary)
             run_id += 1
@@ -111,7 +106,7 @@ def fit_sweep(summaries: Sequence[RunSummary]) -> tuple[FitResult, list[dict], i
 
     Non-converged runs are excluded from the means (their count is returned
     so callers can warn); an n group with no converged runs drops out of the
-    fit entirely.
+    fit entirely, and fewer than two remaining groups is a ValueError.
     """
     groups: dict[int, list[RunSummary]] = {}
     for s in summaries:
@@ -125,20 +120,8 @@ def fit_sweep(summaries: Sequence[RunSummary]) -> tuple[FitResult, list[dict], i
         if steps:
             n_means.append({"n": n, "mean": float(np.mean(steps)),
                             "converged": len(steps), "runs": len(runs)})
+    if len(n_means) < 2:
+        raise ValueError(f"the fit needs converged runs at >= 2 agent counts; "
+                         f"{len(n_means)} of {len(groups)} have one")
     fit = least_squares_fit([(m["n"], m["mean"]) for m in n_means])
     return fit, n_means, excluded
-
-
-def detect_convergence(trace: Trace, radius: float, strict: bool = False) -> int | None:
-    """First recorded step whose enclosing-disc radius reaches the target:
-    radius <= target for the discrete criterion, strict < for the continuous
-    confinement criterion. None when no recorded frame qualifies."""
-    if not trace.frames:
-        raise ValueError("detect_convergence needs a non-empty trace")
-    for frame in trace.frames:
-        if frame.radius is None:
-            continue
-        hit = frame.radius < radius if strict else frame.radius <= radius
-        if hit:
-            return frame.step
-    return None

@@ -38,22 +38,23 @@ class Constellation:
 
 @dataclass
 class Frame:
-    """One recorded instant: positions, headings, per-agent moved flags
-    (position changed since the previous step) and enclosing-disc radius.
-    A continuous run's Lyapunov value lives in `Trace.series`."""
+    """One recorded instant: positions, headings and per-agent moved flags
+    (position changed since the previous step, all False at step 0). The
+    enclosing radius is recomputed from the positions when needed; a
+    continuous run's radius and Lyapunov value live in `Trace.series`."""
 
     step: int
     positions: np.ndarray
     headings: np.ndarray
     moved: np.ndarray
-    radius: float
 
 
 @dataclass
 class Trace:
-    """Time-indexed run record. frames follow the recording cadence;
-    series (continuous runs) has one entry per unit interval regardless:
-    (interval, enclosing radius, lyapunov value, confined)."""
+    """Time-indexed run record. frames follow the recording cadence (every
+    record_every-th step plus the final one); series (continuous runs) has
+    one entry per unit interval regardless: (interval, enclosing radius,
+    lyapunov value, confined)."""
 
     model: str
     frames: list[Frame] = field(default_factory=list)
@@ -98,10 +99,12 @@ def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every
     convergence or the state's step index reaches `cap`.
 
     `step(state, config, rng)` returns the next Constellation.
-    `observe(trace, state, k, record)` returns (converged, radius); radius
-    may be None unless `record` is set or the run converged. The trace
-    records every record_every-th frame and the final one. Non-convergence
-    is a data outcome, not an error.
+    `observe(trace, state, k)` returns (converged, radius); radius may be
+    None, and if it is None at the last state the enclosing disc is computed
+    once, after the loop, for the summary. With `collect_trace` the trace
+    records every record_every-th frame and the final one, each with moved
+    flags against the previous step; without it no per-step flags are
+    computed. Non-convergence is a data outcome, not an error.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -111,23 +114,21 @@ def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every
     if state.n != config.n:
         raise ValueError("initial constellation size does not match config.n")
     trace = Trace(model=model)
-    moved = np.zeros(config.n, dtype=bool)
+    prev_positions = state.positions
     k = 0
     while True:
-        record = collect_trace and k % record_every == 0
-        converged, radius = observe(trace, state, k, record)
+        converged, radius = observe(trace, state, k)
         last = converged or state.step_index >= cap
-        if last and radius is None:
-            radius = min_enclosing_disc(state.positions).radius
-        if record or (collect_trace and last):
-            trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(),
-                                      moved.copy(), radius))
+        if collect_trace and (last or k % record_every == 0):
+            moved = np.any(state.positions != prev_positions, axis=1)
+            trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(), moved))
         if last:
             break
         prev_positions = state.positions
         state = step(state, config, rng)
-        moved = np.any(state.positions != prev_positions, axis=1)
         k = state.step_index
+    if radius is None:
+        radius = min_enclosing_disc(state.positions).radius
     summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,
                          converged_step=k if converged else None, final_radius=radius)
     return trace, summary

@@ -93,7 +93,7 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert len(rows) == 5  # header + 2 n-values x 2 reps
 
 
-def test_invalid_arguments_exit_2(tmp_path):
+def test_invalid_arguments_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--model", "warp", "--n", "4", "--seed", "0",
               "--trace", "t", "--summary", "s"])
@@ -125,6 +125,16 @@ def test_invalid_arguments_exit_2(tmp_path):
                      "--base-seed", "0", flag, value, "--out", str(out)]) == 2
         assert not trace.exists() and not out.exists()
         assert not out.with_name("sw.fit.json").exists()
+    # a single agent count has no fit, so the sweep is rejected before any run
+    assert main(["sweep", "--model", "discrete", "--n-list", "10", "--reps", "2",
+                 "--base-seed", "4", "--out", str(out)]) == 2
+    assert not out.exists() and not out.with_name("sw.fit.json").exists()
+    # too few agent counts converge for a fit: the error names that cause
+    # and no fit is written
+    assert main(["sweep", "--model", "discrete", "--n-list", "40,50", "--reps", "1",
+                 "--base-seed", "4", "--steps", "20", "--out", str(out)]) == 2
+    assert "agent counts" in capsys.readouterr().err
+    assert not out.with_name("sw.fit.json").exists()
     # infinite bounds input has no finite report
     for delta, dmax in (("inf", "50"), ("0.1", "inf"), ("nan", "50")):
         assert main(["bounds", "--n", "4", "--delta", delta, "--dmax", dmax]) == 2

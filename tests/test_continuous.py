@@ -17,6 +17,7 @@ from gathersim.continuous import (
     lyapunov_value,
     run_continuous,
 )
+from gathersim.geometry import min_enclosing_disc
 from gathersim.rng import make_rng
 from gathersim.state import Constellation, init_constellation
 
@@ -291,7 +292,7 @@ def test_series_matches_public_lyapunov_value():
     assert summary.converged_step is not None
     assert [f.step for f in trace.frames] == [k for k, *_ in trace.series]
     for frame, (k, radius, value, confined) in zip(trace.frames, trace.series):
-        assert frame.step == k and frame.radius == radius
+        assert frame.step == k and radius == min_enclosing_disc(frame.positions).radius
         assert (value, confined) == tuple(lyapunov_value(frame.positions, cfg.delta))
 
 
@@ -303,3 +304,18 @@ def test_run_deterministic():
     assert t1.series == t2.series
     for f1, f2 in zip(t1.frames, t2.frames):
         assert np.array_equal(f1.positions, f2.positions)
+
+
+def test_capped_run_record_every_matches_full_cadence():
+    cfg = ContinuousConfig(n=10, delta=0.1, spread=5.0, seed=5, max_intervals=7)
+    trace, summary = run_continuous(cfg, record_every=3)
+    full_trace, full_summary = run_continuous(cfg)
+    assert summary.converged_step is None and summary == full_summary
+    assert trace.series == full_trace.series
+    assert [f.step for f in trace.frames] == [0, 3, 6, 7]
+    full = {f.step: f for f in full_trace.frames}
+    for f in trace.frames:
+        ref = full[f.step]
+        assert np.array_equal(f.positions, ref.positions)
+        assert np.array_equal(f.headings, ref.headings)
+        assert np.array_equal(f.moved, ref.moved)

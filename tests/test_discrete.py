@@ -158,7 +158,6 @@ def test_run_deterministic_trace():
         assert f1.step == f2.step
         assert np.array_equal(f1.positions, f2.positions)
         assert np.array_equal(f1.moved, f2.moved)
-        assert f1.radius == f2.radius
 
 
 def test_run_record_every_cadence():
@@ -169,9 +168,32 @@ def test_run_record_every_cadence():
     assert steps == sorted(set(steps))
     assert steps[-1] == summary.converged_step
     assert all(s % 25 == 0 for s in steps[:-1])
-    # recorded frames carry exact radii
+    # each recorded frame, moved flags included, is the same-step frame of a
+    # full-cadence run: flags compare with the previous step, not frame
+    full = {f.step: f for f in run_discrete(cfg)[0].frames}
     for f in trace.frames:
-        assert math.isclose(f.radius, min_enclosing_disc(f.positions).radius, abs_tol=1e-12)
+        ref = full[f.step]
+        assert np.array_equal(f.positions, ref.positions)
+        assert np.array_equal(f.headings, ref.headings)
+        assert np.array_equal(f.moved, ref.moved)
+
+
+def test_capped_run_computes_the_disc_once(monkeypatch):
+    # far from convergence the observer never needs the exact disc; the
+    # summary's final radius is its only call
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return min_enclosing_disc(points)
+
+    monkeypatch.setattr("gathersim.discrete.min_enclosing_disc", counted)
+    monkeypatch.setattr("gathersim.state.min_enclosing_disc", counted)
+    trace, summary = run_discrete(DiscreteConfig(n=40, spread=50.0, seed=2, max_steps=5))
+    assert summary.converged_step is None
+    assert len(trace.frames) == 6
+    assert calls == [40]
+    assert summary.final_radius == min_enclosing_disc(trace.frames[-1].positions).radius
 
 
 def test_run_nonconvergence_is_a_data_outcome():

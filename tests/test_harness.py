@@ -1,17 +1,16 @@
-"""Sweep orchestration, seed derivation, fitting, convergence detection."""
+"""Sweep orchestration, seed derivation and fitting."""
 
 import numpy as np
 import pytest
 
 from gathersim.harness import (
     SweepConfig,
-    detect_convergence,
     fit_sweep,
     least_squares_fit,
     run_sweep,
 )
 from gathersim.rng import derive_seed
-from gathersim.state import Frame, RunSummary, Trace
+from gathersim.state import RunSummary
 
 
 # ------------------------------------------------------------- fitting
@@ -120,43 +119,6 @@ def test_fit_sweep_excludes_nonconverged():
         {"n": 20, "mean": 240.0, "converged": 2, "runs": 3},
     ]
     assert abs(fit.slope - 12.0) < 1e-12
-
-
-# ------------------------------------------------- convergence detection
-
-
-def make_trace(radii, start=0):
-    n = 2
-    trace = Trace(model="discrete")
-    for k, r in enumerate(radii, start=start):
-        trace.frames.append(Frame(k, np.zeros((n, 2)), np.zeros(n),
-                                  np.zeros(n, dtype=bool), r))
-    return trace
-
-
-def test_detect_convergence_fixtures():
-    assert detect_convergence(make_trace([0.0, 5.0]), 1.0) == 0
-    shrinking = make_trace([9, 8, 7, 6, 5, 4, 3, 0.5, 0.4])
-    assert detect_convergence(shrinking, 1.0) == 7
-    assert detect_convergence(make_trace([5, 4, 3]), 1.0) is None
-    with pytest.raises(ValueError):
-        detect_convergence(Trace(model="discrete"), 1.0)
-
-
-def test_detect_convergence_strictness():
-    trace = make_trace([2.0, 1.0, 0.5])
-    assert detect_convergence(trace, 1.0) == 1  # discrete: radius <= target
-    assert detect_convergence(trace, 1.0, strict=True) == 2  # continuous: <
-
-
-def test_detect_convergence_prefix_consistency():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        radii = rng.uniform(0, 3, 20).tolist()
-        full = detect_convergence(make_trace(radii), 1.0)
-        for cut in range(1, 21):
-            prefix = detect_convergence(make_trace(radii[:cut]), 1.0)
-            if prefix is not None:
-                assert prefix == full
-            elif full is not None:
-                assert full >= cut
+    # one converged agent count leaves no line to fit, and the error says so
+    with pytest.raises(ValueError, match="2 agent counts"):
+        fit_sweep([s(0, 10, 100), s(1, 20, None)])
