@@ -21,6 +21,16 @@ _DISC_EPS = 1.0 + 1e-14
 # the expected-linear behavior of the randomized incremental construction.
 _DISC_SHUFFLE_SEED = 0x5EED
 
+# The sensor without a blind zone runs dense up to this many agents, where the
+# dense kernel is no slower than the witness filter (crossover measured on
+# frames of discrete runs), and output-sensitive above it.
+_DENSE_MAX_N = 80
+
+# Fixed directions whose extreme agents are the witness filter's witnesses.
+_WITNESS_DIRECTIONS = 32
+_WITNESS_ANGLES = np.linspace(0.0, 2.0 * math.pi, _WITNESS_DIRECTIONS, endpoint=False)
+_DIRECTIONS = np.array([np.cos(_WITNESS_ANGLES), np.sin(_WITNESS_ANGLES)])  # (2, K)
+
 
 class Vec2(NamedTuple):
     """Planar point or direction (length units)."""
@@ -121,22 +131,58 @@ def corner_angles(hull: Hull) -> np.ndarray:
 
 
 def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
-                   delta2: float) -> tuple[np.ndarray, np.ndarray]:
+                   delta2: float) -> tuple[np.ndarray, np.ndarray | None]:
     """The sensor of every agent at once, for headings (hx, hy).
 
     blocked[i] is True iff some agent j != i with squared distance > delta2
     lies in agent i's closed back half-plane (dot product <= 0). near[i, j]
     is True iff the squared distance is <= delta2, and always on the
     diagonal. A negative delta2 (the discrete model passes -1) is the sensor
-    without a blind zone, under which coincident agents block each other.
-    Dense (n, n) temporaries.
+    without a blind zone, under which coincident agents block each other and
+    near, which would be the identity, is None.
+
+    With a blind zone the kernel is dense, with (n, n) temporaries. Without
+    one, above _DENSE_MAX_N agents it is output-sensitive (_witness_blocked)
+    and needs O(n * _WITNESS_DIRECTIONS) memory. Both paths evaluate the same
+    floating-point expression on the pairs they test, so blocked is the same.
     """
+    if delta2 < 0.0 and len(positions) > _DENSE_MAX_N:
+        return _witness_blocked(positions, hx, hy), None
     dx = positions[None, :, 0] - positions[:, None, 0]
     dy = positions[None, :, 1] - positions[:, None, 1]
-    # with no blind zone only the agent itself is near; otherwise the zero
-    # self-distance already is
-    near = np.eye(len(positions), dtype=bool) if delta2 < 0.0 else dx * dx + dy * dy <= delta2
-    return (~near & (hx[:, None] * dx + hy[:, None] * dy <= 0.0)).any(axis=1), near
+    back = hx[:, None] * dx + hy[:, None] * dy <= 0.0
+    if delta2 < 0.0:
+        np.fill_diagonal(back, False)
+        return back.any(axis=1), None
+    near = dx * dx + dy * dy <= delta2
+    return (~near & back).any(axis=1), near
+
+
+def _witness_blocked(positions, hx, hy) -> np.ndarray:
+    """blocked_agents without a blind zone, in time and memory proportional
+    to n times the witness count plus n per agent that no witness blocks.
+
+    An agent is free only if it is the unique minimiser of its heading's
+    projection, so only agents on the hull can move. The witnesses are the
+    extreme agents in _WITNESS_DIRECTIONS fixed directions; every agent is
+    tested against them first (a witness never against itself, by index, so
+    coincident agents still block each other), and only the agents that no
+    witness blocks get the full row.
+    """
+    x = positions[:, 0]
+    y = positions[:, 1]
+    w = np.unique(np.argmin(positions @ _DIRECTIONS, axis=0))
+    back = hx[:, None] * (x[None, w] - x[:, None]) + hy[:, None] * (y[None, w] - y[:, None]) <= 0.0
+    back[w, np.arange(len(w))] = False
+    blocked = back.any(axis=1)
+    rest = np.flatnonzero(~blocked)
+    # exact rows in chunks, so many survivors cannot build an (n, n) temporary
+    for lo in range(0, len(rest), _WITNESS_DIRECTIONS):
+        rows = rest[lo:lo + _WITNESS_DIRECTIONS]
+        back = hx[rows, None] * (x[None, :] - x[rows, None]) + hy[rows, None] * (y[None, :] - y[rows, None]) <= 0.0
+        back[np.arange(len(rows)), rows] = False
+        blocked[rows] = back.any(axis=1)
+    return blocked
 
 
 def back_halfplane_occupied(i: int, positions, heading) -> bool:

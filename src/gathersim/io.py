@@ -25,20 +25,13 @@ def _fmt(value: float) -> str:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """One row per agent per recorded frame."""
+    """One row per agent per recorded frame, written one frame at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
+        fh.write(",".join(TRACE_HEADER) + "\n")
         for frame in trace.frames:
-            for agent in range(len(frame.positions)):
-                writer.writerow([
-                    frame.step,
-                    agent,
-                    _fmt(frame.positions[agent, 0]),
-                    _fmt(frame.positions[agent, 1]),
-                    _fmt(frame.headings[agent]),
-                    int(frame.moved[agent]),
-                ])
+            rows = zip(frame.positions.tolist(), frame.headings.tolist(), frame.moved.tolist())
+            fh.write("".join(f"{frame.step},{a},{x!r},{y!r},{h!r},{int(m)}\n"
+                             for a, ((x, y), h, m) in enumerate(rows)))
 
 
 def write_summaries_csv(summaries: Sequence[RunSummary], path) -> None:

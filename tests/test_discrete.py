@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gathersim import geometry
 from gathersim.discrete import DiscreteConfig, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, min_enclosing_disc
 from gathersim.rng import make_rng
@@ -194,6 +195,24 @@ def test_capped_run_computes_the_disc_once(monkeypatch):
     assert len(trace.frames) == 6
     assert calls == [40]
     assert summary.final_radius == min_enclosing_disc(trace.frames[-1].positions).radius
+
+
+def test_run_identical_on_both_sensor_paths(monkeypatch):
+    # n = 200 runs on the witness path by default; forcing the dense kernel
+    # must not change a single frame or the summary
+    cfg = DiscreteConfig(n=200, spread=50.0, seed=6)
+    monkeypatch.setattr(geometry, "_DENSE_MAX_N", 0)
+    witness_trace, witness_summary = run_discrete(cfg)
+    monkeypatch.setattr(geometry, "_DENSE_MAX_N", 10**9)
+    dense_trace, dense_summary = run_discrete(cfg)
+    assert witness_summary == dense_summary
+    assert witness_summary.converged_step is not None
+    assert len(witness_trace.frames) == len(dense_trace.frames)
+    for a, b in zip(witness_trace.frames, dense_trace.frames):
+        assert a.step == b.step
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.headings, b.headings)
+        assert np.array_equal(a.moved, b.moved)
 
 
 def test_run_nonconvergence_is_a_data_outcome():

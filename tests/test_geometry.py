@@ -1,11 +1,14 @@
 """Geometry primitives against brute-force oracles."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from gathersim import geometry
+from gathersim.discrete import DiscreteConfig, run_discrete
 from gathersim.geometry import (
     Vec2,
     as_points,
@@ -253,7 +256,8 @@ def test_back_sensor_matches_angle_oracle_bulk():
 
 def test_back_sensors_vectorized_equals_scalar():
     # the all-agents kernel against a pure-Python scan, without a blind zone
-    # (delta2 = -1: coincident agents block) and with one that hides pairs
+    # (delta2 = -1: coincident agents block, no near matrix) and with one
+    # that hides pairs
     rng = np.random.default_rng(78)
     n = 15
     pts = rng.uniform(0, 50, (n, 2))
@@ -262,17 +266,163 @@ def test_back_sensors_vectorized_equals_scalar():
     hx, hy = np.cos(chi), np.sin(chi)
     for delta2 in (-1.0, 300.0):
         blocked, near = blocked_agents(pts, hx, hy, delta2)
+        if delta2 < 0.0:
+            assert near is None
         for i in range(n):
             hit = False
             for j in range(n):
                 dx = pts[j, 0] - pts[i, 0]
                 dy = pts[j, 1] - pts[i, 1]
-                assert near[i, j] == (i == j or dx * dx + dy * dy <= delta2)
+                if near is not None:
+                    assert near[i, j] == (i == j or dx * dx + dy * dy <= delta2)
                 if j != i and dx * dx + dy * dy > delta2 and hx[i] * dx + hy[i] * dy <= 0.0:
                     hit = True
             assert blocked[i] == hit
         assert 0 < blocked.sum() < n
     assert near.sum() > n  # some pair within the blind zone
+
+
+# ------------------------- the sensor without a blind zone, on both paths
+
+
+def oracle_blocked(pts, hx, hy) -> list[bool]:
+    """Per-pair pure-Python sensor without a blind zone: agent i is blocked
+    iff some j != i has hx[i]*(x_j - x_i) + hy[i]*(y_j - y_i) <= 0."""
+    xs, ys = [float(v) for v in pts[:, 0]], [float(v) for v in pts[:, 1]]
+    out = []
+    for i in range(len(xs)):
+        hxi, hyi = float(hx[i]), float(hy[i])
+        out.append(any(j != i and hxi * (xs[j] - xs[i]) + hyi * (ys[j] - ys[i]) <= 0.0
+                       for j in range(len(xs))))
+    return out
+
+
+@pytest.fixture(params=["dense", "witness"])
+def sensor_path(request, monkeypatch):
+    """Force blocked_agents without a blind zone onto one path for any n."""
+    monkeypatch.setattr(geometry, "_DENSE_MAX_N", 10**9 if request.param == "dense" else 0)
+    return request.param
+
+
+def check_against_oracle(pts, hx, hy):
+    blocked, near = blocked_agents(pts, hx, hy, -1.0)
+    assert near is None
+    assert blocked.tolist() == oracle_blocked(pts, hx, hy)
+    return blocked
+
+
+def random_case(seed, n):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 50, (n, 2))
+    chi = rng.uniform(0, 2 * math.pi, n)
+    return pts, np.cos(chi), np.sin(chi)
+
+
+def test_sensor_dispatch_at_the_threshold(monkeypatch):
+    # the witness path runs above _DENSE_MAX_N agents only, and both sides of
+    # the threshold agree with the oracle
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return witness(*args)
+
+    witness = geometry._witness_blocked
+    monkeypatch.setattr(geometry, "_witness_blocked", counted)
+    for n in (geometry._DENSE_MAX_N - 1, geometry._DENSE_MAX_N, geometry._DENSE_MAX_N + 1):
+        for seed in range(5):
+            check_against_oracle(*random_case(seed, n))
+    assert calls == [geometry._DENSE_MAX_N + 1] * 5
+    # the blind-zone sensor stays dense at any n
+    pts, hx, hy = random_case(0, geometry._DENSE_MAX_N + 1)
+    assert blocked_agents(pts, hx, hy, 1.0)[1].shape == (len(pts), len(pts))
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("n", [geometry._DENSE_MAX_N, geometry._DENSE_MAX_N + 1, 300])
+def test_sensor_paths_match_oracle_random(sensor_path, n):
+    for seed in range(3):
+        blocked = check_against_oracle(*random_case(seed, n))
+        assert blocked.any()
+
+
+def test_sensor_paths_coincident_pair(sensor_path):
+    # agents 7 and 50 share a position far left of the others and face them,
+    # so each is blocked only by the other, on its boundary line
+    pts, hx, hy = random_case(9, 120)
+    pts[7] = pts[50] = (-100.0, 20.0)
+    hx[7], hy[7] = 1.0, 0.0
+    hx[50], hy[50] = math.cos(0.3), math.sin(0.3)
+    blocked = check_against_oracle(pts, hx, hy)
+    assert blocked[7] and blocked[50]
+    pts[50] = (-99.0, 20.0)
+    assert not check_against_oracle(pts, hx, hy)[7]
+
+
+def test_sensor_paths_all_coincident(sensor_path):
+    n = 120
+    pts = np.full((n, 2), 3.25)
+    hx, hy = random_case(10, n)[1:]
+    # every fixed direction picks agent 0, the only witness, which the others
+    # block by index, not by position
+    assert np.unique(np.argmin(pts @ geometry._DIRECTIONS, axis=0)).tolist() == [0]
+    assert check_against_oracle(pts, hx, hy).all()
+
+
+def circle_case(n):
+    """n agents on a circle, each facing the centre: nothing is behind any
+    of them, so all are free and all survive the witness filter."""
+    phi = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return 50.0 * np.stack([np.cos(phi), np.sin(phi)], axis=1), -np.cos(phi), -np.sin(phi)
+
+
+def test_sensor_paths_all_free(sensor_path):
+    # more survivors than one chunk of exact rows
+    assert not check_against_oracle(*circle_case(120)).any()
+
+
+def test_sensor_paths_exact_boundary_ties(sensor_path):
+    # integer positions with axis-aligned headings: every product is exact,
+    # so agents on another's boundary line test exactly 0 and block it
+    rng = np.random.default_rng(11)
+    n = 150
+    pts = rng.integers(0, 12, (n, 2)).astype(float)
+    axes = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    hx, hy = axes[rng.integers(0, 4, n)].T.copy()
+    # agent 0 beyond the grid facing it, so nothing is behind it; agents 1
+    # and 3 face the grid from beyond it too, but each has one agent exactly
+    # on its boundary line (agents 2 and 4) and nothing else behind it
+    pts[0], (hx[0], hy[0]) = (20.0, 5.0), (-1.0, 0.0)
+    pts[1], (hx[1], hy[1]) = (-3.0, 5.0), (1.0, 0.0)
+    pts[2] = (-3.0, 9.0)
+    pts[3], (hx[3], hy[3]) = (4.0, 30.0), (0.0, -1.0)
+    pts[4] = (6.0, 30.0)
+    blocked = check_against_oracle(pts, hx, hy)
+    assert blocked.tolist()[:4] == [False, True, True, True]
+
+
+def test_sensor_paths_on_every_frame_of_a_run(sensor_path):
+    # frame k holds the headings that moved frame k-1 to it
+    trace, _ = run_discrete(DiscreteConfig(n=640, spread=50.0, seed=4, max_steps=50))
+    assert len(trace.frames) == 51
+    for prev, frame in zip(trace.frames, trace.frames[1:]):
+        blocked = check_against_oracle(prev.positions, np.cos(frame.headings),
+                                       np.sin(frame.headings))
+        assert np.array_equal(blocked, ~frame.moved)
+
+
+@pytest.mark.parametrize("case", [random_case(12, 5000), circle_case(5000)],
+                         ids=["uniform", "all-free"])
+def test_sensor_memory_is_bounded_without_blind_zone(case):
+    # the dense kernel's (n, n) temporaries would need hundreds of MiB here
+    tracemalloc.start()
+    try:
+        blocked, near = blocked_agents(*case, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert near is None
+    assert peak < 16 * 2**20
 
 
 def test_as_points_validation():
