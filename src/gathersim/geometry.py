@@ -29,7 +29,7 @@ _DENSE_MAX_N = 80
 # Fixed directions whose extreme agents are the witness filter's witnesses.
 _WITNESS_DIRECTIONS = 32
 _WITNESS_ANGLES = np.linspace(0.0, 2.0 * math.pi, _WITNESS_DIRECTIONS, endpoint=False)
-_DIRECTIONS = np.array([np.cos(_WITNESS_ANGLES), np.sin(_WITNESS_ANGLES)])  # (2, K)
+_DIRECTIONS = np.stack([np.cos(_WITNESS_ANGLES), np.sin(_WITNESS_ANGLES)], axis=1)  # (K, 2)
 
 
 class Vec2(NamedTuple):
@@ -171,10 +171,11 @@ def _witness_blocked(positions, hx, hy) -> np.ndarray:
     """
     x = positions[:, 0]
     y = positions[:, 1]
-    w = np.unique(np.argmin(positions @ _DIRECTIONS, axis=0))
-    back = hx[:, None] * (x[None, w] - x[:, None]) + hy[:, None] * (y[None, w] - y[:, None]) <= 0.0
-    back[w, np.arange(len(w))] = False
-    blocked = back.any(axis=1)
+    # (witness, agent) layout: the reductions run along contiguous rows
+    w = np.unique(np.argmin(_DIRECTIONS @ positions.T, axis=1))
+    back = hx * (x[w, None] - x) + hy * (y[w, None] - y) <= 0.0
+    back[np.arange(len(w)), w] = False
+    blocked = back.any(axis=0)
     rest = np.flatnonzero(~blocked)
     # exact rows in chunks, so many survivors cannot build an (n, n) temporary
     for lo in range(0, len(rest), _WITNESS_DIRECTIONS):
