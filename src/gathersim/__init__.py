@@ -17,7 +17,6 @@ from .bounds import (
 from .continuous import (
     ContinuousConfig,
     LyapunovState,
-    blind_zone_sensor,
     check_lyapunov_monotone,
     check_separation_band,
     continuous_interval,
@@ -29,7 +28,6 @@ from .geometry import (
     Disc,
     Hull,
     Vec2,
-    back_halfplane_occupied,
     convex_hull,
     corner_angles,
     min_enclosing_disc,
@@ -54,8 +52,6 @@ __all__ = [
     "SweepConfig",
     "Trace",
     "Vec2",
-    "back_halfplane_occupied",
-    "blind_zone_sensor",
     "check_lyapunov_monotone",
     "check_separation_band",
     "compute_bounds",

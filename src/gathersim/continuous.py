@@ -2,13 +2,14 @@
 
 Headings are redrawn once per unit interval. The interval is integrated by
 fixed substeps: at each substep every sensor is evaluated against the same
-position snapshot, then every free agent advances speed * substep along its
-heading (an agent may therefore stop and restart within one interval as the
-constellation evolves around it). An agent's sensor ignores everything
-within distance delta of it, in every direction: agent j blocks agent i iff
-d_ij > delta and j lies in i's closed back half-plane. This is the discrete
-model's sensor with a blind zone, and both models share its kernel
-(`geometry.blocked_agents`) and their run loop (`state.run_loop`).
+position snapshot, then every free agent advances substep along its heading,
+at one length unit per interval (an agent may therefore stop and restart
+within one interval as the constellation evolves around it). An agent's
+sensor ignores everything within distance delta of it, in every direction:
+agent j blocks agent i iff d_ij > delta and j lies in i's closed back
+half-plane. This is the discrete model's sensor with a blind zone, and both
+models share its kernel (`geometry.blocked_agents`) and their run loop
+(`state.run_loop`).
 
 In the exact dynamics a pair within delta can never separate beyond delta:
 the agent moving away has the other in its closed back half-plane as soon
@@ -44,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _agent_blocked, as_points, blocked_agents, min_enclosing_disc
-from .state import Constellation, RunSummary, Trace, draw_headings, run_loop
+from .geometry import as_points, blocked_agents, min_enclosing_disc
+from .state import Constellation, RunSummary, Trace, run_loop, step_headings
 
 
 @dataclass
@@ -56,12 +57,11 @@ class ContinuousConfig:
     spread: float = 50.0
     seed: int = 0
     max_intervals: int = 10_000
-    speed: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        for name in ("delta", "spread", "speed"):
+        for name in ("delta", "spread"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.substep <= 1.0:
@@ -81,15 +81,6 @@ class LyapunovState(NamedTuple):
 
     value: float
     confined: bool
-
-
-def blind_zone_sensor(i: int, positions, heading, delta: float) -> bool:
-    """True iff some agent j != i is BOTH farther than delta from agent i
-    AND inside i's closed back half-plane. Agents within delta are invisible
-    regardless of direction."""
-    if not 0.0 < delta < math.inf:
-        raise ValueError("delta must be finite and > 0")
-    return _agent_blocked(i, positions, heading, delta * delta)
 
 
 def _advance_interval(pos, hx, hy, delta2, step, nsub):
@@ -125,17 +116,10 @@ def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None
     1/substep synchronous sense-then-move substeps under the sliding rule of
     the module docstring. Pass `headings` to force the draw; otherwise they
     come from `rng`."""
-    if headings is None:
-        if rng is None:
-            raise ValueError("continuous_interval needs an rng or explicit headings")
-        headings = draw_headings(rng, state.n)
-    headings = np.asarray(headings, dtype=float)
-    if headings.shape != (state.n,):
-        raise ValueError("headings must have one entry per agent")
+    headings = step_headings(rng, state.n, headings)
     pos = state.positions.copy()
     _advance_interval(pos, np.cos(headings), np.sin(headings),
-                      config.delta * config.delta, config.speed * config.substep,
-                      config.nsub)
+                      config.delta * config.delta, config.substep, config.nsub)
     return Constellation(pos, headings, state.step_index + 1)
 
 
@@ -159,12 +143,14 @@ def lyapunov_value(positions, delta: float) -> LyapunovState:
     return _lyapunov(pts, delta, min_enclosing_disc(pts).radius)
 
 
-def run_continuous(config: ContinuousConfig, rng=None, record_every: int = 1,
-                   collect_trace: bool = True, initial: Constellation | None = None) -> tuple[Trace, RunSummary]:
+def run_continuous(config: ContinuousConfig, record_every: int = 1, collect_trace: bool = True,
+                   initial: Constellation | None = None) -> tuple[Trace, RunSummary]:
     """Iterate unit intervals until the constellation is confined (enclosing
     radius strictly below delta, checked at interval boundaries) or
     max_intervals is reached. Pass `initial` to start from a prepared
-    constellation instead of the seeded uniform placement."""
+    constellation instead of the seeded uniform placement; it takes no
+    draws, so the generator of `config.seed` starts at its first draw either
+    way."""
     def observe(trace, state, k):
         radius = min_enclosing_disc(state.positions).radius
         value, confined = _lyapunov(state.positions, config.delta, radius)
@@ -172,7 +158,7 @@ def run_continuous(config: ContinuousConfig, rng=None, record_every: int = 1,
         return confined, radius
 
     return run_loop("continuous", config, config.max_intervals, continuous_interval, observe,
-                    rng, record_every, collect_trace, initial)
+                    record_every, collect_trace, initial)
 
 
 def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tuple]:

@@ -186,28 +186,6 @@ def _witness_blocked(positions, hx, hy) -> np.ndarray:
     return blocked
 
 
-def back_halfplane_occupied(i: int, positions, heading) -> bool:
-    """True iff some agent j != i lies in the closed half-plane behind agent i.
-
-    The boundary line through agent i counts as occupied (dot product <= 0),
-    so coincident agents block each other. `heading` must be a unit vector
-    within 1e-12.
-    """
-    return _agent_blocked(i, positions, heading, -1.0)
-
-
-def _agent_blocked(i: int, positions, heading, delta2: float) -> bool:
-    """blocked_agents for agent i alone, with the public sensors' checks."""
-    pts = as_points(positions)
-    h = np.asarray(heading, dtype=float).reshape(2)
-    if abs(math.hypot(h[0], h[1]) - 1.0) > 1e-12:
-        raise ValueError("heading must be a unit vector (|norm - 1| <= 1e-12)")
-    if not 0 <= i < len(pts):
-        raise ValueError(f"agent index {i} out of range for {len(pts)} agents")
-    n = len(pts)
-    return bool(blocked_agents(pts, np.full(n, h[0]), np.full(n, h[1]), delta2)[0][i])
-
-
 def min_enclosing_disc(points) -> Disc:
     """Smallest disc containing all points.
 

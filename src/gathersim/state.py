@@ -79,6 +79,21 @@ def draw_headings(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.0, TWO_PI, n)
 
 
+def step_headings(rng, n: int, headings=None) -> np.ndarray:
+    """The headings of one model step: the caller's `headings`, checked to be
+    n finite values, or else n fresh ones drawn from `rng`."""
+    if headings is None:
+        if rng is None:
+            raise ValueError("a step needs an rng or explicit headings")
+        return draw_headings(rng, n)
+    headings = np.asarray(headings, dtype=float)
+    if headings.shape != (n,):
+        raise ValueError("headings must have one entry per agent")
+    if not np.isfinite(headings).all():
+        raise ValueError("headings must be finite")
+    return headings
+
+
 def init_constellation(config, rng: np.random.Generator) -> Constellation:
     """Random initial state: positions i.i.d. uniform over the axis-aligned
     square [0, spread]^2, then headings uniform on [0, 2*pi).
@@ -92,13 +107,16 @@ def init_constellation(config, rng: np.random.Generator) -> Constellation:
     return Constellation(positions, headings, step_index=0)
 
 
-def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every: int = 1,
+def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
              collect_trace: bool = True, initial: Constellation | None = None):
     """Drive one run of either model: observe the start, then apply `step`
     (one discrete jump or one unit interval) until the observer reports
     convergence or the state's step index reaches `cap`.
 
-    `step(state, config, rng)` returns the next Constellation.
+    `step(state, config, rng)` returns the next Constellation, with rng =
+    make_rng(config.seed). The run starts from `initial` if given, else from
+    the seeded uniform placement; `initial` takes no draws, so the generator
+    then starts at the seed's first draw.
     `observe(trace, state, k)` returns (converged, radius); radius may be
     None, and if it is None at the last state the enclosing disc is computed
     once, after the loop, for the summary. With `collect_trace` the trace
@@ -108,8 +126,7 @@ def run_loop(model: str, config, cap: int, step, observe, rng=None, record_every
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    if rng is None:
-        rng = make_rng(config.seed)
+    rng = make_rng(config.seed)
     state = initial if initial is not None else init_constellation(config, rng)
     if state.n != config.n:
         raise ValueError("initial constellation size does not match config.n")

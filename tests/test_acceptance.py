@@ -89,11 +89,12 @@ def test_criterion_3_continuous_within_bound():
         for seed in range(50):
             cfg = ContinuousConfig(n=n, delta=delta, spread=5.0, seed=seed,
                                    max_intervals=100_000)
+            # the run's own start, rebuilt only for its initial diameter
             initial = init_constellation(cfg, make_rng(cfg.seed))
             diff = initial.positions[None] - initial.positions[:, None]
             d_max0 = float(np.sqrt((diff ** 2).sum(-1)).max())
             bound = expected_time_bound(n, delta, d_max0)
-            _, summary = run_continuous(cfg, collect_trace=False, initial=initial)
+            _, summary = run_continuous(cfg, collect_trace=False)
             confined_in_bound = (summary.converged_step is not None
                                  and summary.converged_step <= bound)
             ok = ok and confined_in_bound

@@ -10,7 +10,6 @@ from gathersim.continuous import (
     ContinuousConfig,
     LyapunovState,
     _advance_interval,
-    blind_zone_sensor,
     check_lyapunov_monotone,
     check_separation_band,
     continuous_interval,
@@ -22,18 +21,18 @@ from gathersim.rng import make_rng
 from gathersim.state import Constellation, init_constellation
 
 
-def naive_interval(positions, chi, delta, speed, substep, nsub):
+def naive_interval(positions, chi, delta, substep, nsub):
     """Independent reimplementation of one unit interval: per substep, sense
     every agent on the frozen snapshot (blocked iff someone beyond delta sits
     in the closed back half-plane), then try the move of the unblocked ones.
     While some pair that started the substep within delta would end it beyond
     delta, hold each moving member that then has the other in its closed back
-    half-plane (both movers if neither does) and try again."""
+    half-plane (both movers if neither does) and try again. Agents move at
+    unit speed, so a move is one substep long."""
     pos = [list(p) for p in positions.tolist()]
     n = len(pos)
     hx = [math.cos(c) for c in chi]
     hy = [math.sin(c) for c in chi]
-    step = speed * substep
 
     def beyond(p, i, j):
         dx = p[j][0] - p[i][0]
@@ -57,7 +56,7 @@ def naive_interval(positions, chi, delta, speed, substep, nsub):
         close = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if not beyond(pos, i, j)]
         while True:
-            trial = [[p[0] + step * hx[k], p[1] + step * hy[k]] if k in movers else list(p)
+            trial = [[p[0] + substep * hx[k], p[1] + substep * hy[k]] if k in movers else list(p)
                      for k, p in enumerate(pos)]
             held = set()
             for i, j in close:
@@ -80,7 +79,7 @@ def naive_interval(positions, chi, delta, speed, substep, nsub):
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuousConfig(n=1, delta=0.0)
-    for field in ("delta", "substep", "spread", "speed"):
+    for field in ("delta", "substep", "spread"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 ContinuousConfig(n=1, **{field: bad})
@@ -89,33 +88,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ContinuousConfig(n=0)
     assert ContinuousConfig(n=1, substep=0.25).nsub == 4
-
-
-# ------------------------------------------------------------- sensing
-
-
-def test_blind_zone_sensor_cases():
-    delta = 0.1
-    # within delta directly behind: invisible
-    assert blind_zone_sensor(0, [(0, 0), (-delta / 2, 0)], (1, 0), delta) is False
-    # beyond delta directly behind: blocks
-    assert blind_zone_sensor(0, [(0, 0), (-2 * delta, 0)], (1, 0), delta) is True
-    # beyond delta directly ahead: front half-plane never blocks
-    assert blind_zone_sensor(0, [(0, 0), (2 * delta, 0)], (1, 0), delta) is False
-    # exactly at distance delta: still invisible (strict d > delta)
-    assert blind_zone_sensor(0, [(0, 0), (-delta, 0)], (1, 0), delta) is False
-
-
-def test_blind_zone_sensor_validation():
-    with pytest.raises(ValueError):
-        blind_zone_sensor(0, [(0, 0), (1, 0)], (2, 0), 0.1)
-    with pytest.raises(ValueError):
-        blind_zone_sensor(0, [(0, 0), (1, 0)], (1, 0), 0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            blind_zone_sensor(0, [(0, 0), (1, 0)], (1, 0), bad)
-        with pytest.raises(ValueError):
-            lyapunov_value([(0, 0), (1, 0)], bad)
 
 
 # ---------------------------------------------------------- integration
@@ -151,7 +123,7 @@ def test_interval_matches_naive_reimplementation(n, seed, spread):
     state = init_constellation(cfg, rng)
     chi = rng.uniform(0, 2 * math.pi, n)
     new = continuous_interval(state, cfg, headings=chi)
-    oracle = naive_interval(state.positions, chi, cfg.delta, cfg.speed, cfg.substep, cfg.nsub)
+    oracle = naive_interval(state.positions, chi, cfg.delta, cfg.substep, cfg.nsub)
     assert np.array_equal(new.positions, oracle)
 
 
@@ -174,7 +146,7 @@ def test_pair_within_delta_moves_freely_and_stays_in_band():
         chi = rng.uniform(0, 2 * math.pi, 2)
         state = Constellation(start.copy(), np.zeros(2))
         new = continuous_interval(state, cfg, headings=chi)
-        oracle = naive_interval(start, chi, cfg.delta, cfg.speed, cfg.substep, cfg.nsub)
+        oracle = naive_interval(start, chi, cfg.delta, cfg.substep, cfg.nsub)
         assert np.array_equal(new.positions, oracle)
         dx, dy = new.positions[1] - new.positions[0]
         assert math.sqrt(dx * dx + dy * dy) <= cfg.delta  # the sensor's distance
@@ -245,6 +217,12 @@ def test_lyapunov_zero_iff_confined():
         pts = rng.uniform(0, rng.choice([0.05, 0.3, 3.0]), (int(rng.integers(1, 9)), 2))
         st = lyapunov_value(pts, 0.1)
         assert (st.value == 0.0) == st.confined
+
+
+def test_lyapunov_value_validation():
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lyapunov_value([(0, 0), (1, 0)], bad)
 
 
 # ------------------------------------------------------------------ run

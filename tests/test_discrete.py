@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gathersim import geometry
+from gathersim.continuous import ContinuousConfig, continuous_interval
 from gathersim.discrete import DiscreteConfig, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, min_enclosing_disc
 from gathersim.rng import make_rng
@@ -16,13 +17,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiscreteConfig(n=0)
     with pytest.raises(ValueError):
-        DiscreteConfig(n=1, step_size=0.0)
+        DiscreteConfig(n=1, spread=0.0)
     with pytest.raises(ValueError):
         DiscreteConfig(n=1, max_steps=0)
-    for field in ("step_size", "spread", "convergence_radius"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                DiscreteConfig(n=1, **{field: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DiscreteConfig(n=1, spread=bad)
 
 
 # -------------------------------------------------------------- init
@@ -83,8 +83,8 @@ def test_adversarial_two_agent_divergence():
     assert dist > 1.0
 
 
-def test_movers_jump_exactly_step_size():
-    cfg = DiscreteConfig(n=20, seed=5, step_size=1.0)
+def test_movers_jump_exactly_one_unit():
+    cfg = DiscreteConfig(n=20, seed=5)
     rng = make_rng(cfg.seed)
     state = init_constellation(cfg, rng)
     for _ in range(50):
@@ -128,6 +128,18 @@ def test_step_requires_heading_source():
     state = Constellation(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         discrete_step(state, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("step,cfg", [(discrete_step, DiscreteConfig(n=3)),
+                                      (continuous_interval, ContinuousConfig(n=3))],
+                         ids=["discrete", "continuous"])
+def test_step_rejects_non_finite_headings(step, cfg, bad):
+    # a NaN heading fails every sensor comparison, so the agent would count
+    # as free and move to NaN
+    state = Constellation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        step(state, cfg, headings=[bad, 0.0, 1.0])
 
 
 # -------------------------------------------------------------- run

@@ -12,7 +12,6 @@ from gathersim.discrete import DiscreteConfig, run_discrete
 from gathersim.geometry import (
     Vec2,
     as_points,
-    back_halfplane_occupied,
     blocked_agents,
     convex_hull,
     corner_angles,
@@ -211,27 +210,44 @@ def test_disc_deterministic():
     assert a == b
 
 
-# ------------------------------------------- back_halfplane_occupied
+# ------------------------------------------------- the sensor of one agent
+
+
+def sensor(pts, heading, delta2=-1.0) -> list[bool]:
+    """blocked_agents with every agent facing `heading`; without a blind
+    zone, checked against the oracle."""
+    pts = np.asarray(pts, dtype=float)
+    hx, hy = np.full(len(pts), float(heading[0])), np.full(len(pts), float(heading[1]))
+    blocked = blocked_agents(pts, hx, hy, delta2)[0].tolist()
+    if delta2 < 0.0:
+        assert blocked == oracle_blocked(pts, hx, hy)
+    return blocked
 
 
 def test_back_sensor_boundary_cases():
     # other agent strictly in front: back half-plane empty
-    assert back_halfplane_occupied(0, [(0, 0), (2, 0)], (1, 0)) is False
+    assert sensor([(0, 0), (2, 0)], (1, 0))[0] is False
     # strictly behind
-    assert back_halfplane_occupied(0, [(0, 0), (-1, 0)], (1, 0)) is True
+    assert sensor([(0, 0), (-1, 0)], (1, 0))[0] is True
     # exactly on the boundary line: the closed half-plane counts it
-    assert back_halfplane_occupied(0, [(0, 0), (0, 5)], (1, 0)) is True
-
-
-def test_back_sensor_validation():
-    with pytest.raises(ValueError):
-        back_halfplane_occupied(0, [(0, 0), (1, 0)], (1, 1))  # not unit
-    with pytest.raises(ValueError):
-        back_halfplane_occupied(5, [(0, 0), (1, 0)], (1, 0))
+    assert sensor([(0, 0), (0, 5)], (1, 0))[0] is True
 
 
 def test_back_sensor_coincident_agents_block():
-    assert back_halfplane_occupied(0, [(1, 1), (1, 1)], (0, 1)) is True
+    assert sensor([(1, 1), (1, 1)], (0, 1)) == [True, True]
+
+
+def test_blind_zone_cases():
+    delta = 0.1
+    delta2 = delta**2
+    # within delta directly behind: invisible
+    assert sensor([(0, 0), (-delta / 2, 0)], (1, 0), delta2)[0] is False
+    # exactly at distance delta: still invisible (strict d > delta)
+    assert sensor([(0, 0), (-delta, 0)], (1, 0), delta2)[0] is False
+    # beyond delta directly behind: blocks
+    assert sensor([(0, 0), (-2 * delta, 0)], (1, 0), delta2)[0] is True
+    # beyond delta directly ahead: front half-plane never blocks
+    assert sensor([(0, 0), (2 * delta, 0)], (1, 0), delta2)[0] is False
 
 
 def test_back_sensor_matches_angle_oracle_bulk():
@@ -248,9 +264,9 @@ def test_back_sensor_matches_angle_oracle_bulk():
     oracle = offset >= math.pi / 2 - 1e-15
     dots = np.cos(phi) * rel[:, 0] + np.sin(phi) * rel[:, 1]
     assert (oracle == (dots <= 0.0)).all()
-    # the scalar public op agrees with the vectorized engine scan
+    # the kernel on the two-agent constellation agrees with the bulk scan
     for k in range(0, m, m // 500):
-        got = back_halfplane_occupied(0, [p_i[k], p_j[k]], (math.cos(phi[k]), math.sin(phi[k])))
+        got = sensor([p_i[k], p_j[k]], (math.cos(phi[k]), math.sin(phi[k])))[0]
         assert got == bool(dots[k] <= 0.0)
 
 
