@@ -33,10 +33,46 @@ two positions.
 
 A substep in which no agent moves leaves the constellation unchanged, so
 every later substep of the interval would repeat it; the integrator stops
-the interval there. The integrator, `_advance_interval`, is vectorized over
-agents with numpy; it only moves positions, and the run loop derives the
-moved flags from the position change. The Lyapunov observable is
-recorded once per interval in `Trace.series`.
+the interval there. More generally, substeps whose decisions provably
+repeat are applied without re-sensing. Once a sensed substep has fixed its
+final movers F, the next substep's decisions are sign tests on pair terms
+that only change for pairs with a member in F (the differences of other
+pairs are the same floats), and each test is some margin away from its
+threshold:
+  - |dot| = |h_i . (p_j - p_i)|, the back-line test, for a pair beyond delta
+    (the sensor ignores it for a pair within delta);
+  - |sqrt(d2) - delta|, the within-delta test at the sensed positions;
+  - |sqrt(e2) - delta| at the trial positions of every hold round, for
+    every pair (the rule reads it for the pairs within delta).
+A pair with m of its members in F moves each of these terms by at most m * r
+per substep, where r bounds one stored move |fl(x + step * h) - x| and |h|
+is 1. So the k following substeps repeat every decision, and move F exactly
+as this one did, when k * m * r + e <= margin for every pair with a mover,
+where e bounds the rounding of the computed margins. The integrator takes
+the largest such k (capped at the substeps left, and all of them when no
+pair has a mover) and applies those substeps as k more `x += step * h`
+additions on the rows of F: the same float operations in the same order,
+so the positions are bit-identical to sensing every substep. The back
+tests of a crossing pair need no margin of their own: its member that
+ends up moving did not have the other behind it, so that move did not
+lengthen the pair, and the two distance margins of the pair add up to at
+most r + 20uX (below), which forces k = 0.
+
+The rounding guard. Let u = 2^-53 and X = 2 max|x| + 2 at the start of the
+interval; as long as nsub <= 2^51, no coordinate leaves [-X, X] within the
+interval. One stored move is then at most step (1 + 3u) + sqrt(2) u X <=
+r = step + 4 u X, which is how far a coordinate as large as 1e13, where
+ulp(x) = 2^-9 is twice the default substep, really moves. Each computed
+term (a dot product, a distance, their difference from the threshold) is
+within 16 u X of its exact value, so e = 64 u X covers both ends with a
+factor of two. At ordinary coordinates e is ~1e-13, far below one substep,
+and k is within one of margin / (m * step).
+
+The integrator, `_advance_interval`, is vectorized over agents with numpy;
+it shares the sensor's pair terms (`geometry._pair_terms`) with
+`blocked_agents`, only moves positions, and leaves the moved flags to the
+run loop, which derives them from the position change. The Lyapunov
+observable is recorded once per interval in `Trace.series`.
 """
 
 import math
@@ -45,8 +81,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import as_points, blocked_agents, min_enclosing_disc
-from .state import Constellation, RunSummary, Trace, run_loop, step_headings
+from .geometry import _blind_zone_sensor, _pair_terms, as_points, min_enclosing_disc
+from .rng import SEED_LIMIT
+from .state import Constellation, RunSummary, Trace, check_integer, run_loop, step_headings
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -59,8 +98,9 @@ class ContinuousConfig:
     max_intervals: int = 10_000
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        self.n = check_integer("n", self.n, 1)
+        self.seed = check_integer("seed", self.seed, 0, SEED_LIMIT)
+        self.max_intervals = check_integer("max_intervals", self.max_intervals, 1)
         for name in ("delta", "spread"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
@@ -68,8 +108,6 @@ class ContinuousConfig:
             raise ValueError("substep must lie in (0, 1]")
         if self.nsub < 1 or abs(self.nsub * self.substep - 1.0) > 1e-9:
             raise ValueError("substep must divide the unit interval exactly")
-        if self.max_intervals < 1:
-            raise ValueError("max_intervals must be >= 1")
 
     @property
     def nsub(self) -> int:
@@ -84,30 +122,50 @@ class LyapunovState(NamedTuple):
 
 
 def _advance_interval(pos, hx, hy, delta2, step, nsub):
-    """Integrate nsub substeps of the sliding rule in place on pos."""
+    """Integrate nsub substeps of the sliding rule in place on pos, sensing
+    only the substeps whose decisions can change (module docstring)."""
     n = pos.shape[0]
-    hvec = np.stack([hx, hy], axis=1)
-    for _ in range(nsub):
-        blocked, near = blocked_agents(pos, hx, hy, delta2)
+    move = step * np.stack([hx, hy], axis=1)
+    delta = math.sqrt(delta2)
+    coord = 2.0 * float(np.abs(pos).max()) + 2.0  # X, bounds every coordinate of the interval
+    rate = step + 4.0 * _UNIT_ROUNDOFF * coord  # r, the longest stored move
+    slack = 64.0 * _UNIT_ROUNDOFF * coord  # e, the rounding of a computed margin
+    left = nsub
+    while left:
+        dot, d2 = _pair_terms(pos, hx, hy)
+        blocked, near = _blind_zone_sensor(dot, d2, delta2)
         free = ~blocked
         guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
+        # margin[i, j]: distance to the nearest flip of a decision on pair (i, j)
+        margin = np.where(near, np.inf, np.abs(dot))
+        np.minimum(margin, np.abs(np.sqrt(d2) - delta), out=margin)
         while True:
-            new = pos.copy()
-            new[free] += step * hvec[free]
+            new = np.where(free[:, None], pos + move, pos)
             if not guard:
                 break
-            ex = new[None, :, 0] - new[:, None, 0]
-            ey = new[None, :, 1] - new[:, None, 1]
-            cross = near & (ex * ex + ey * ey > delta2)
+            tdot, te2 = _pair_terms(new, hx, hy)
+            cross = near & (te2 > delta2)
+            np.minimum(margin, np.abs(np.sqrt(te2) - delta), out=margin)
             if not cross.any():
                 break
             # hold[i, j]: i moves and ends with j in its closed back half-plane
-            hold = cross & free[:, None] & (hx[:, None] * ex + hy[:, None] * ey <= 0.0)
+            hold = cross & free[:, None] & (tdot <= 0.0)
             neither = cross & ~(hold | hold.T)
             free &= ~(hold | (neither & free[:, None])).any(axis=1)
         if not free.any():
             break
+        # the pairs with a mover: rows of the movers once margin is symmetric
+        margin.flat[::n + 1] = np.inf
+        rows = np.minimum(margin, margin.T)[free]
+        repeats = ((rows - slack) / (1.0 + free)).min() / rate
+        k = int(min(max(repeats, 0.0), left - 1))
+        moving = new[free]
+        d = move[free]
+        for _ in range(k):
+            moving += d
+        new[free] = moving
         pos[:] = new
+        left -= 1 + k
 
 
 def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None,
@@ -161,6 +219,12 @@ def run_continuous(config: ContinuousConfig, record_every: int = 1, collect_trac
                     record_every, collect_trace, initial)
 
 
+def _distances(positions: np.ndarray) -> np.ndarray:
+    """(n, n) pairwise Euclidean distances."""
+    diff = positions[None, :, :] - positions[:, None, :]
+    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+
+
 def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tuple]:
     """Scan a full-cadence trace for violations of the two distance bands.
 
@@ -175,8 +239,7 @@ def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tu
     band = delta + 4.0 * substep
     prev = None
     for frame in frames:
-        diff = frame.positions[None, :, :] - frame.positions[:, None, :]
-        d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+        d = _distances(frame.positions)
         if ever_close is None:
             ever_close = np.zeros_like(d, dtype=bool)
         else:
@@ -194,13 +257,26 @@ def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tu
     return violations
 
 
-def check_lyapunov_monotone(trace: Trace, n: int, substep: float) -> list[tuple]:
+def check_lyapunov_monotone(trace: Trace, n: int, substep: float, delta: float) -> list[tuple]:
     """Scan the per-interval series for Lyapunov increases beyond the
     integrator tolerance 2 * n^2 * substep per interval. Returns
-    (interval, previous, current) tuples, empty when monotone."""
+    (interval, previous, current, crossed) tuples, empty when monotone.
+
+    crossed attributes an increase when the trace holds the frames of
+    interval - 1 and interval: the pairs (i, j, before, after), i < j, whose
+    distance went from at most delta to beyond it, each re-activating a
+    distance term of about 2 * delta. Without both frames it is None.
+    """
     tol = 2.0 * n * n * substep
+    positions = {frame.step: frame.positions for frame in trace.frames}
     violations = []
     for (k0, _, v0, _), (k1, _, v1, _) in zip(trace.series, trace.series[1:]):
         if v1 - v0 > tol * (k1 - k0):
-            violations.append((k1, v0, v1))
+            crossed = None
+            if k1 - 1 in positions and k1 in positions:
+                d0 = _distances(positions[k1 - 1])
+                d1 = _distances(positions[k1])
+                crossed = [(int(i), int(j), float(d0[i, j]), float(d1[i, j]))
+                           for i, j in zip(*np.nonzero(np.triu((d0 <= delta) & (d1 > delta), 1)))]
+            violations.append((k1, v0, v1, crossed))
     return violations

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import blocked_agents, min_enclosing_disc
-from .state import Constellation, RunSummary, Trace, run_loop, step_headings
+from .rng import SEED_LIMIT
+from .state import Constellation, RunSummary, Trace, check_integer, run_loop, step_headings
 
 
 @dataclass
@@ -26,12 +27,11 @@ class DiscreteConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        self.n = check_integer("n", self.n, 1)
+        self.seed = check_integer("seed", self.seed, 0, SEED_LIMIT)
+        self.max_steps = check_integer("max_steps", self.max_steps, 1)
         if not 0.0 < self.spread < math.inf:
             raise ValueError("spread must be finite and > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headings=None) -> Constellation:

@@ -141,21 +141,38 @@ def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
     without a blind zone, under which coincident agents block each other and
     near, which would be the identity, is None.
 
-    With a blind zone the kernel is dense, with (n, n) temporaries. Without
-    one, above _DENSE_MAX_N agents it is output-sensitive (_witness_blocked)
-    and needs O(n * _WITNESS_DIRECTIONS) memory. Both paths evaluate the same
+    With a blind zone the kernel is dense, with (n, n) temporaries: the pair
+    terms of _pair_terms, reduced by _blind_zone_sensor (the continuous
+    integrator reads the same terms for its margins). Without one, above
+    _DENSE_MAX_N agents it is output-sensitive (_witness_blocked) and needs
+    O(n * _WITNESS_DIRECTIONS) memory. Both paths evaluate the same
     floating-point expression on the pairs they test, so blocked is the same.
     """
-    if delta2 < 0.0 and len(positions) > _DENSE_MAX_N:
+    if delta2 >= 0.0:
+        return _blind_zone_sensor(*_pair_terms(positions, hx, hy), delta2)
+    if len(positions) > _DENSE_MAX_N:
         return _witness_blocked(positions, hx, hy), None
     dx = positions[None, :, 0] - positions[:, None, 0]
     dy = positions[None, :, 1] - positions[:, None, 1]
     back = hx[:, None] * dx + hy[:, None] * dy <= 0.0
-    if delta2 < 0.0:
-        np.fill_diagonal(back, False)
-        return back.any(axis=1), None
-    near = dx * dx + dy * dy <= delta2
-    return (~near & back).any(axis=1), near
+    np.fill_diagonal(back, False)
+    return back.any(axis=1), None
+
+
+def _pair_terms(positions, hx, hy) -> tuple[np.ndarray, np.ndarray]:
+    """The dense pair terms of the blind-zone sensor, (n, n) each:
+    dot[i, j] = h_i . (p_j - p_i), whose sign is the back-half-plane test,
+    and d2[i, j] = |p_j - p_i|^2, the squared distance."""
+    dx = positions[None, :, 0] - positions[:, None, 0]
+    dy = positions[None, :, 1] - positions[:, None, 1]
+    return hx[:, None] * dx + hy[:, None] * dy, dx * dx + dy * dy
+
+
+def _blind_zone_sensor(dot, d2, delta2) -> tuple[np.ndarray, np.ndarray]:
+    """blocked and near of blocked_agents with a blind zone, reduced from
+    the pair terms."""
+    near = d2 <= delta2
+    return (~near & (dot <= 0.0)).any(axis=1), near
 
 
 def _witness_blocked(positions, hx, hy) -> np.ndarray:

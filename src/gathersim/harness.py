@@ -8,8 +8,8 @@ import numpy as np
 
 from .continuous import ContinuousConfig, run_continuous
 from .discrete import DiscreteConfig, run_discrete
-from .rng import derive_seed
-from .state import RunSummary
+from .rng import SEED_LIMIT, derive_seed
+from .state import RunSummary, check_integer
 
 
 @dataclass
@@ -26,12 +26,13 @@ class SweepConfig:
     def __post_init__(self):
         if self.model not in ("discrete", "continuous"):
             raise ValueError(f"unknown model {self.model!r}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be non-empty with every n >= 1")
+        if not self.n_values:
+            raise ValueError("n_values must be non-empty")
+        self.n_values = [check_integer("each n in n_values", n, 1) for n in self.n_values]
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError("n_values must not repeat")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        self.reps = check_integer("reps", self.reps, 1)
+        self.base_seed = check_integer("base_seed", self.base_seed, 0, SEED_LIMIT)
 
 
 class FitResult(NamedTuple):

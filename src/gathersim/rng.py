@@ -9,7 +9,8 @@ published constants 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # seeds are unsigned 64-bit integers
+_MASK64 = SEED_LIMIT - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -17,7 +18,7 @@ _MIX2 = 0x94D049BB133111EB
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator; identical seeds give identical draw sequences."""
-    if not 0 <= seed <= _MASK64:
+    if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return np.random.default_rng(seed)
 

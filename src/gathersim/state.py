@@ -2,6 +2,7 @@
 by both engines."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,19 @@ from .geometry import min_enclosing_disc
 from .rng import make_rng
 
 TWO_PI = 2.0 * math.pi
+
+
+def check_integer(name: str, value, low: int, high: int | None = None) -> int:
+    """value as a Python int; ValueError unless it is an integer (a Python
+    or numpy integer, not a bool) with low <= value, and value < high when
+    given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and value >= high:
+        raise ValueError(f"{name} must be < {high}")
+    return int(value)
 
 
 @dataclass

@@ -16,9 +16,10 @@ from gathersim.continuous import (
     lyapunov_value,
     run_continuous,
 )
-from gathersim.geometry import min_enclosing_disc
+from gathersim import continuous
+from gathersim.geometry import blocked_agents, min_enclosing_disc
 from gathersim.rng import make_rng
-from gathersim.state import Constellation, init_constellation
+from gathersim.state import Constellation, Frame, Trace, init_constellation
 
 
 def naive_interval(positions, chi, delta, substep, nsub):
@@ -76,6 +77,60 @@ def naive_interval(positions, chi, delta, substep, nsub):
     return np.array(pos)
 
 
+def plain_interval(pos, hx, hy, delta2, step, nsub):
+    """The substep loop that senses on every substep, as the integrator ran
+    before it skipped repeated substeps; the elided integrator must match it
+    bit for bit."""
+    n = pos.shape[0]
+    hvec = np.stack([hx, hy], axis=1)
+    for _ in range(nsub):
+        blocked, near = blocked_agents(pos, hx, hy, delta2)
+        free = ~blocked
+        guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
+        while True:
+            new = pos.copy()
+            new[free] += step * hvec[free]
+            if not guard:
+                break
+            ex = new[None, :, 0] - new[:, None, 0]
+            ey = new[None, :, 1] - new[:, None, 1]
+            cross = near & (ex * ex + ey * ey > delta2)
+            if not cross.any():
+                break
+            # hold[i, j]: i moves and ends with j in its closed back half-plane
+            hold = cross & free[:, None] & (hx[:, None] * ex + hy[:, None] * ey <= 0.0)
+            neither = cross & ~(hold | hold.T)
+            free &= ~(hold | (neither & free[:, None])).any(axis=1)
+        if not free.any():
+            break
+        pos[:] = new
+
+
+@pytest.fixture
+def sensed(monkeypatch):
+    """Counts the substeps the integrator senses (calls of its sensor)."""
+    count = [0]
+    sensor = continuous._blind_zone_sensor
+
+    def counted(*args):
+        count[0] += 1
+        return sensor(*args)
+
+    monkeypatch.setattr(continuous, "_blind_zone_sensor", counted)
+    return count
+
+
+def assert_matches_plain(positions, hx, hy, delta=0.1, substep=1e-3):
+    """Run one interval both ways from the same start; return the result."""
+    nsub = round(1.0 / substep)
+    got = np.array(positions, dtype=float)
+    want = got.copy()
+    _advance_interval(got, hx, hy, delta * delta, substep, nsub)
+    plain_interval(want, hx, hy, delta * delta, substep, nsub)
+    assert np.array_equal(got, want)
+    return got
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuousConfig(n=1, delta=0.0)
@@ -88,6 +143,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ContinuousConfig(n=0)
     assert ContinuousConfig(n=1, substep=0.25).nsub == 4
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("n", 2.5), ("n", True), ("n", 3.0), ("max_intervals", 2.5), ("max_intervals", False),
+    ("seed", 1.5), ("seed", -1), ("seed", 1 << 64), ("seed", np.bool_(True)),
+])
+def test_config_rejects_non_integer_counts(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ContinuousConfig(**{"n": 3, field: bad})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ContinuousConfig(n=np.int64(3), seed=np.uint64((1 << 64) - 1),
+                           max_intervals=np.int32(5))
+    assert cfg.nsub == 1000
 
 
 # ---------------------------------------------------------- integration
@@ -125,6 +195,97 @@ def test_interval_matches_naive_reimplementation(n, seed, spread):
     new = continuous_interval(state, cfg, headings=chi)
     oracle = naive_interval(state.positions, chi, cfg.delta, cfg.substep, cfg.nsub)
     assert np.array_equal(new.positions, oracle)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+@pytest.mark.parametrize("spread", [5.0, 0.3])
+def test_elided_matches_plain_over_whole_runs(n, spread):
+    # every interval of whole runs, from the start each run actually reaches
+    for seed in range(3):
+        cfg = ContinuousConfig(n=n, delta=0.1, spread=spread, seed=seed)
+        rng = make_rng(cfg.seed)
+        pos = init_constellation(cfg, rng).positions
+        for _ in range(1000):
+            chi = rng.uniform(0, 2 * math.pi, n)
+            pos = assert_matches_plain(pos, np.cos(chi), np.sin(chi))
+            if min_enclosing_disc(pos).radius < cfg.delta:
+                break
+        else:
+            pytest.fail(f"n={n} spread={spread} seed={seed} did not converge")
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e10, 3e12, 1e13])
+def test_elided_matches_plain_far_from_the_origin(offset):
+    # the rounding of x + step * h grows with |x|: at 1e13 one stored move is
+    # ulp(x) = 2^-9 ~ 0.002, twice the substep, so a fixed slack would not do
+    # (a slack of one substep gets one of these ten cases wrong at 3e12 and
+    # three at 1e13)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        n = int(rng.integers(2, 8))
+        pos = rng.uniform(0.0, 0.15, (n, 2)) + offset
+        chi = rng.uniform(0, 2 * math.pi, n)
+        assert_matches_plain(pos, np.cos(chi), np.sin(chi))
+
+
+def test_elision_covers_moves_longer_than_the_substep():
+    # agent 0 runs along +x at 1e13, where each stored move is 2^-9, almost
+    # twice the substep, and enters the blind zone of the blocked agent 1
+    # within the interval; a bound counting substep-long moves would skip it
+    pos = np.array([[1e13, 0.0], [1e13 + 1.5, 0.0]])
+    hx, hy = np.array([1.0, 1.0]), np.array([0.0, 0.0])
+    got = assert_matches_plain(pos, hx, hy)
+    assert got[0, 0] - pos[0, 0] > 1.5  # the pair met inside the interval
+
+
+def test_single_agent_is_sensed_once(sensed):
+    chi = np.array([0.7])
+    assert_matches_plain([[2.0, 3.0]], np.cos(chi), np.sin(chi))
+    assert sensed[0] == 1
+
+
+def test_all_blocked_is_sensed_once(sensed):
+    # every agent has another one beyond delta in its closed back half-plane
+    pos = np.array([[0.0, 0.0], [-0.5, 0.0], [0.3, 2.0]])
+    hx, hy = np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    assert np.array_equal(assert_matches_plain(pos, hx, hy), pos)
+    assert sensed[0] == 1
+
+
+def test_held_sliding_pair_with_stationary_partner_is_elided(sensed):
+    # agent 1 moves away from agent 0 until the edge of the blind zone, where
+    # it is held; agents 0 and 2 block each other, so once the pair is held
+    # nothing changes and the rest of the interval repeats
+    pos = np.array([[0.0, 0.0], [0.05, 0.0], [2.0, 1.0]])
+    hx, hy = np.array([0.0, 1.0, 1.0]), np.array([-1.0, 0.0, 0.0])
+    got = assert_matches_plain(pos, hx, hy)
+    assert np.array_equal(got[[0, 2]], pos[[0, 2]])
+    assert 0.099 < got[1, 0] <= 0.1
+    assert sensed[0] < 10
+
+
+def test_pair_held_while_partner_approaches():
+    # agent 1 heads away from agent 0 and is held at the edge of the blind
+    # zone; agent 0 follows it, so agent 1 slides on whenever the gap allows,
+    # a decision that changes from one substep to the next
+    chi = np.array([0.3, 0.5])
+    pos = np.array([[0.0, 0.0], [0.0999 * math.cos(0.4), 0.0999 * math.sin(0.4)]])
+    got = assert_matches_plain(pos, np.cos(chi), np.sin(chi))
+    assert 0.099 < np.hypot(*(got[1] - got[0])) <= 0.1
+    assert np.hypot(*(got[1] - pos[1])) > 0.4  # agent 1 did slide on
+
+
+@pytest.mark.parametrize("flip", [1, 2, 37, 256, 1000])
+def test_back_line_flip_exactly_k_substeps_ahead(flip, sensed):
+    # integer positions and axis-aligned headings with a dyadic substep keep
+    # every sum exact: agent 0 runs along +x until blocked agent 1 lies on
+    # its back line, which happens at the sensing of substep `flip` exactly
+    substep = 2.0 ** -10
+    pos = np.array([[0.0, 0.0], [flip * substep, 3.0]])
+    hx, hy = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    got = assert_matches_plain(pos, hx, hy, substep=substep)
+    assert got[0, 0] == min(flip, 1024) * substep
+    assert sensed[0] <= 3
 
 
 def test_head_on_pair_closes_two_per_interval():
@@ -258,10 +419,28 @@ def test_run_series_and_bands():
     # (no pair within delta can cross it upward, so no separated-distance
     # term is re-activated and the sum never rises beyond the 2 n^2 dt band)
     assert check_separation_band(trace, cfg.delta, cfg.substep) == []
-    assert check_lyapunov_monotone(trace, cfg.n, cfg.substep) == []
+    assert check_lyapunov_monotone(trace, cfg.n, cfg.substep, cfg.delta) == []
     # lyapunov hits zero exactly at confinement
     assert trace.series[-1][2] == 0.0
     assert all(v > 0 for _, _, v, conf in trace.series[:-1] if not conf)
+
+
+def test_lyapunov_increase_names_the_pairs_that_crossed_delta():
+    # pair (0, 1) drifts from within delta to beyond it and re-activates its
+    # distance term; pair (0, 2) stays separated and is not named
+    frames = [np.array([[0.0, 0.0], [0.09, 0.0], [5.0, 0.0]]),
+              np.array([[0.0, 0.0], [0.12, 0.0], [5.0, 0.0]])]
+    trace = Trace(model="continuous")
+    for k, pos in enumerate(frames):
+        trace.frames.append(Frame(k, pos, np.zeros(3), np.zeros(3, dtype=bool)))
+        trace.series.append((k, 0.0, lyapunov_value(pos, 0.1).value, False))
+    [(interval, v0, v1, crossed)] = check_lyapunov_monotone(trace, 3, 1e-3, 0.1)
+    assert (interval, v0) == (1, trace.series[0][2]) and v1 > v0
+    assert [(i, j) for i, j, _, _ in crossed] == [(0, 1)]
+    assert crossed[0][2:] == pytest.approx((0.09, 0.12))
+    # without the frames the increase is still reported, unattributed
+    trace.frames.clear()
+    assert check_lyapunov_monotone(trace, 3, 1e-3, 0.1) == [(1, v0, v1, None)]
 
 
 def test_series_matches_public_lyapunov_value():

@@ -25,6 +25,21 @@ def test_config_validation():
             DiscreteConfig(n=1, spread=bad)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("n", 2.5), ("n", True), ("max_steps", 2.5), ("max_steps", True),
+    ("seed", 1.5), ("seed", -1), ("seed", 1 << 64), ("seed", "3"),
+])
+def test_config_rejects_non_integer_counts(field, bad):
+    with pytest.raises(ValueError, match=field):
+        DiscreteConfig(**{"n": 3, field: bad})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = DiscreteConfig(n=np.int64(3), seed=np.uint32(7), max_steps=np.int16(9))
+    _, summary = run_discrete(cfg)
+    assert summary.n == 3
+
+
 # -------------------------------------------------------------- init
 
 

@@ -106,6 +106,23 @@ def test_sweep_config_validation():
         SweepConfig(model="discrete", n_values=[10, 10], reps=1, base_seed=0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("n_values", [5, 2.5]), ("n_values", [True, 5]), ("n_values", [0, 5]),
+    ("reps", 1.5), ("reps", True), ("base_seed", 0.5), ("base_seed", -1),
+    ("base_seed", 1 << 64),
+])
+def test_sweep_config_rejects_non_integer_counts(field, bad):
+    options = {"n_values": [5, 10], "reps": 1, "base_seed": 0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        SweepConfig(model="discrete", **options)
+
+
+def test_sweep_config_accepts_numpy_integers():
+    cfg = SweepConfig(model="discrete", n_values=list(np.array([2, 3])), reps=np.int64(1),
+                      base_seed=np.uint64(5), max_steps=3)
+    assert [s.n for s in run_sweep(cfg)] == [2, 3]
+
+
 def test_fit_sweep_excludes_nonconverged():
     def s(run_id, n, step):
         return RunSummary(run_id, 0, n, 50.0, step, 1.0)
