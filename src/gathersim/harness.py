@@ -26,7 +26,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.model not in ("discrete", "continuous"):
             raise ValueError(f"unknown model {self.model!r}")
-        if not self.n_values:
+        if len(self.n_values) == 0:
             raise ValueError("n_values must be non-empty")
         self.n_values = [check_integer("each n in n_values", n, 1) for n in self.n_values]
         if len(set(self.n_values)) != len(self.n_values):

@@ -118,7 +118,7 @@ def test_sweep_config_rejects_non_integer_counts(field, bad):
 
 
 def test_sweep_config_accepts_numpy_integers():
-    cfg = SweepConfig(model="discrete", n_values=list(np.array([2, 3])), reps=np.int64(1),
+    cfg = SweepConfig(model="discrete", n_values=np.array([2, 3]), reps=np.int64(1),
                       base_seed=np.uint64(5), max_steps=3)
     assert [s.n for s in run_sweep(cfg)] == [2, 3]
 
