@@ -288,6 +288,21 @@ def test_back_line_flip_exactly_k_substeps_ahead(flip, sensed):
     assert sensed[0] <= 3
 
 
+@pytest.mark.parametrize("flip", [1, 37, 500])
+def test_blind_zone_entry_exactly_k_substeps_ahead(flip, sensed):
+    # agent 0 runs along +x at the blocked agent 1 and reaches distance
+    # delta = 1/8 at the sensing of substep `flip` exactly; from then on
+    # agent 1 no longer sees it and both move on together
+    substep = 2.0 ** -10
+    pos = np.array([[0.0, 0.0], [0.125 + flip * substep, 0.0]])
+    hx, hy = np.array([1.0, 1.0]), np.array([0.0, 0.0])
+    got = assert_matches_plain(pos, hx, hy, delta=0.125, substep=substep)
+    assert got[1, 0] - pos[1, 0] == (1024 - flip) * substep
+    # one sensing covers every substep before the flip (the pair then sits
+    # at distance delta, a zero margin, and is sensed on each substep)
+    assert sensed[0] <= 1 + 1024 - flip
+
+
 def test_head_on_pair_closes_two_per_interval():
     cfg = ContinuousConfig(n=2, delta=0.1, seed=0, spread=20.0)
     state = Constellation(np.array([[0.0, 0.0], [10.0, 0.0]]), np.zeros(2))
