@@ -73,14 +73,21 @@ def shrink_partials(d: float, st: float, theta: float) -> tuple[float, float, fl
     return dd, dst, dtheta
 
 
+def _shrink_fraction(n: int) -> float:
+    """1 - sqrt(1 - t2) with t2 = tan^2(pi/4n), computed as
+    t2 / (1 + sqrt(1 - t2)): the difference form cancels to zero relative
+    accuracy as t2 shrinks (3.6x too large at n = 1e8, 0 at n = 1e9)."""
+    t2 = math.tan(math.pi / (4.0 * n)) ** 2
+    _require(t2 < 1.0, "shrink fraction undefined: tan^2(pi/4n) >= 1")
+    return t2 / (1.0 + math.sqrt(1.0 - t2))
+
+
 def shrink_min(n: int, delta: float) -> float:
     """Guaranteed distance decrease delta * (1 - sqrt(1 - tan^2(pi/4n))) in a
     successful interval with the partner stationary."""
     _require(n >= 2, "shrink_min needs n >= 2")
     _require(0 < delta < math.inf, "shrink_min needs finite delta > 0")
-    t2 = math.tan(math.pi / (4.0 * n)) ** 2
-    _require(t2 < 1.0, "shrink_min undefined: tan^2(pi/4n) >= 1")
-    return delta * (1.0 - math.sqrt(1.0 - t2))
+    return delta * _shrink_fraction(n)
 
 
 def expected_time_bound(n: int, delta: float, d_max0: float) -> float:
@@ -90,7 +97,7 @@ def expected_time_bound(n: int, delta: float, d_max0: float) -> float:
     _require(n >= 2, "expected_time_bound needs n >= 2")
     _require(0 < delta < math.inf, "expected_time_bound needs finite delta > 0")
     _require(0 < d_max0 < math.inf, "expected_time_bound needs finite d_max0 > 0")
-    return 8.0 * n ** 3 / (1.0 - math.sqrt(1.0 - math.tan(math.pi / (4.0 * n)) ** 2)) * (d_max0 / delta)
+    return 8.0 * n ** 3 / _shrink_fraction(n) * (d_max0 / delta)
 
 
 @dataclass

@@ -46,17 +46,42 @@ threshold:
     every pair (the rule reads it for the pairs within delta).
 A pair with m of its members in F moves each of these terms by at most m * r
 per substep, where r bounds one stored move |fl(x + step * h) - x| and |h|
-is 1. So the k following substeps repeat every decision, and move F exactly
-as this one did, when k * m * r + e <= margin for every pair with a mover,
-where e bounds the rounding of the computed margins. The integrator takes
-the largest such k (capped at the substeps left, and all of them when no
-pair has a mover) and applies those substeps as k more `x += step * h`
-additions on the rows of F: the same float operations in the same order,
-so the positions are bit-identical to sensing every substep. The back
-tests of a crossing pair need no margin of their own: its member that
-ends up moving did not have the other behind it, so that move did not
-lengthen the pair, and the two distance margins of the pair add up to at
-most r + 20uX (below), which forces k = 0.
+is 1. So the k following substeps repeat every decision of the pair when
+k * m * r + e <= margin, where e bounds the rounding of the computed
+margins. This cheap bound serves as a filter. The back tests of a crossing
+pair need no margin in it: its member that ends up moving did not have the
+other behind it, so that move did not lengthen the pair, and the two
+distance margins of the pair add up to at most r + 20uX (below), which
+forces k = 0.
+
+For every pair with a mover whose cheap bound is below the substeps left,
+the integrator computes an exact count and keeps the larger of the two
+(both are sound). With F and the free
+set G of every hold round fixed, the pair difference after t more substeps
+is v + t w, with v = p_j - p_i at the sensed positions and
+w = step * (F_j h_j - F_i h_i), and each decision of the pair is the sign of
+a function of t:
+  - linear, for the back-line tests: h_i . (v + t w) and h_j . -(v + t w) of
+    a pair beyond delta, and the same on the trial difference of a crossing
+    pair for each of its members in G;
+  - the convex quadratic |u + t w|^2 - delta^2, for the within-delta test at
+    the sensed positions (u = v) and at the trial positions of every hold
+    round (u = v + step * (G_j h_j - G_i h_i)).
+Each threshold is moved away by a guard g (below), and the roots of these
+functions give the largest k over which every one keeps its sign. The
+candidate is then checked by evaluation: a linear function, and a quadratic
+that must stay within, at both ends of [0, k] (a convex function is largest
+at an end); a quadratic that must stay beyond at its vertex clamped to
+[0, k]. If the check fails the count is 0 and the pair keeps its cheap
+bound, so the rounding of the roots can only shorten k. The integrator
+takes the least bound over the pairs with a mover (capped at the substeps
+left, and all of them when no pair has a mover) and applies those substeps
+as k more `x += step * h` additions on the rows of F: the same float
+operations in the same order, so the positions are bit-identical to
+sensing every substep. The refinement runs as scalar Python on the few pairs the filter
+leaves, the most limiting first, and stops once no remaining cheap bound is
+below the current k; numpy calls on arrays that small cost more than scalar
+float arithmetic.
 
 The rounding guard. Let u = 2^-53 and X = 2 max|x| + 2 at the start of the
 interval; as long as nsub <= 2^51, no coordinate leaves [-X, X] within the
@@ -65,8 +90,18 @@ r = step + 4 u X, which is how far a coordinate as large as 1e13, where
 ulp(x) = 2^-9 is twice the default substep, really moves. Each computed
 term (a dot product, a distance, their difference from the threshold) is
 within 16 u X of its exact value, so e = 64 u X covers both ends with a
-factor of two. At ordinary coordinates e is ~1e-13, far below one substep,
-and k is within one of margin / (m * step).
+factor of two. For the exact counts: one stored addition moves a
+coordinate by step * h_c plus at most |fl(x + d) - (x + d)| + |d - step h_c|
+<= u X + u step, with d = fl(step * h_c). A pair's two members move its
+difference by w plus at most 2 sqrt(2) u (X + step) < 4.3 u X per
+substep (step <= 1 <= X / 2), so rho = 8 u X bounds it with a factor of
+about two, and after t < left substeps the stored difference is within
+left * rho of v + t w. Evaluating v + t w and its terms in floats rounds by
+less than the 16 u X of a computed term, so g = e + left * rho covers the
+decision at the sensed substep, the decision at substep t and the
+evaluation of the model. At ordinary coordinates e is ~1e-13 and g ~1e-11,
+far below one substep, and a cheap bound k is within one of
+margin / (m * step).
 
 The integrator, `_advance_interval`, is vectorized over agents with numpy;
 it shares the sensor's pair terms (`geometry._pair_terms`) with
@@ -121,6 +156,100 @@ class LyapunovState(NamedTuple):
     confined: bool
 
 
+def _linear_repeats(a0, a1, guard, cap):
+    """Largest k <= cap such that a0 + t a1 keeps the sign of a0, at least
+    guard away from 0, for every t in [0, k]; 0 when that is not provable."""
+    if a0 < 0.0:
+        a0, a1 = -a0, -a1
+    if a0 <= guard:
+        return 0
+    k = cap
+    if a1 < 0.0:
+        root = (a0 - guard) / -a1
+        k = cap if root >= cap else int(root)
+    # a linear term is extreme at the endpoints
+    return k if a0 + k * a1 > guard else 0
+
+
+def _within_repeats(vx, vy, wx, wy, limit, cap):
+    """Largest k <= cap with |v + t w| < limit for every t in [0, k]; 0 when
+    that is not provable."""
+    c = vx * vx + vy * vy - limit * limit
+    if limit <= 0.0 or c >= 0.0:
+        return 0
+    a = wx * wx + wy * wy
+    b = vx * wx + vy * wy
+    k = cap
+    if a > 0.0:
+        # the larger root of a t^2 + 2 b t + c, in the form without cancellation
+        s = math.sqrt(b * b - a * c)
+        root = -c / (b + s) if b > 0.0 else (s - b) / a
+        k = cap if root >= cap else int(root)
+    # the square of a distance is convex in t: its maximum is at an endpoint
+    qx = vx + k * wx
+    qy = vy + k * wy
+    return k if qx * qx + qy * qy < limit * limit else 0
+
+
+def _beyond_repeats(vx, vy, wx, wy, limit, cap):
+    """Largest k <= cap with |v + t w| > limit for every t in [0, k]; 0 when
+    that is not provable."""
+    c = vx * vx + vy * vy - limit * limit
+    if c <= 0.0:
+        return 0
+    a = wx * wx + wy * wy
+    b = vx * wx + vy * wy
+    k = cap
+    t = 0.0
+    if b < 0.0:
+        disc = b * b - a * c
+        if disc >= 0.0:
+            root = c / (math.sqrt(disc) - b)  # the smaller root, both are positive
+            k = cap if root >= cap else int(root)
+        # the minimum over [0, k] is at the vertex -b / a, clamped
+        t = k if -b >= a * k else -b / a
+    qx = vx + t * wx
+    qy = vy + t * wy
+    return k if qx * qx + qy * qy > limit * limit else 0
+
+
+def _pair_repeats(i, j, p, h, d, mover, rounds, delta, guard, cap):
+    """The exact count, up to cap, of substeps over which every decision of
+    pair (i, j) provably repeats (module docstring). p are the sensed
+    positions, h the headings, d the stored moves, mover the flags of the
+    final movers F and rounds the free flags of every hold round, all as
+    lists."""
+    vx = p[j][0] - p[i][0]
+    vy = p[j][1] - p[i][1]
+    wx = (d[j][0] if mover[j] else 0.0) - (d[i][0] if mover[i] else 0.0)
+    wy = (d[j][1] if mover[j] else 0.0) - (d[i][1] if mover[i] else 0.0)
+    hix, hiy = h[i]
+    hjx, hjy = h[j]
+    if vx * vx + vy * vy > delta * delta:
+        # beyond delta: the pair stays beyond, and both back-line tests repeat
+        k = _beyond_repeats(vx, vy, wx, wy, delta + guard, cap)
+        k = _linear_repeats(hix * vx + hiy * vy, hix * wx + hiy * wy, guard, k)
+        return _linear_repeats(hjx * vx + hjy * vy, hjx * wx + hjy * wy, guard, k)
+    k = _within_repeats(vx, vy, wx, wy, delta - guard, cap)
+    for free in rounds:
+        # the trial difference of this round, v + step * (G_j h_j - G_i h_i)
+        ux = vx + ((d[j][0] if free[j] else 0.0) - (d[i][0] if free[i] else 0.0))
+        uy = vy + ((d[j][1] if free[j] else 0.0) - (d[i][1] if free[i] else 0.0))
+        if ux * ux + uy * uy > delta * delta:
+            # a crossing pair: it stays crossing, and the hold test of each
+            # of its free members repeats
+            k = _beyond_repeats(ux, uy, wx, wy, delta + guard, k)
+            if free[i]:
+                k = _linear_repeats(hix * ux + hiy * uy, hix * wx + hiy * wy, guard, k)
+            if free[j]:
+                k = _linear_repeats(hjx * ux + hjy * uy, hjx * wx + hjy * wy, guard, k)
+        else:
+            k = _within_repeats(ux, uy, wx, wy, delta - guard, k)
+        if not k:
+            break
+    return k
+
+
 def _advance_interval(pos, hx, hy, delta2, step, nsub):
     """Integrate nsub substeps of the sliding rule in place on pos, sensing
     only the substeps whose decisions can change (module docstring)."""
@@ -130,6 +259,9 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
     coord = 2.0 * float(np.abs(pos).max()) + 2.0  # X, bounds every coordinate of the interval
     rate = step + 4.0 * _UNIT_ROUNDOFF * coord  # r, the longest stored move
     slack = 64.0 * _UNIT_ROUNDOFF * coord  # e, the rounding of a computed margin
+    drift = 8.0 * _UNIT_ROUNDOFF * coord  # rho, one substep's rounding of a pair difference
+    h = np.stack([hx, hy], axis=1).tolist()
+    steps = move.tolist()
     left = nsub
     while left:
         dot, d2 = _pair_terms(pos, hx, hy)
@@ -139,10 +271,12 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
         # margin[i, j]: distance to the nearest flip of a decision on pair (i, j)
         margin = np.where(near, np.inf, np.abs(dot))
         np.minimum(margin, np.abs(np.sqrt(d2) - delta), out=margin)
+        rounds = []
         while True:
             new = np.where(free[:, None], pos + move, pos)
             if not guard:
                 break
+            rounds.append(free.tolist())
             tdot, te2 = _pair_terms(new, hx, hy)
             cross = near & (te2 > delta2)
             np.minimum(margin, np.abs(np.sqrt(te2) - delta), out=margin)
@@ -154,11 +288,28 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
             free &= ~(hold | (neither & free[:, None])).any(axis=1)
         if not free.any():
             break
-        # the pairs with a mover: rows of the movers once margin is symmetric
+        # the cheap bound of each pair with a mover, on the rows of the
+        # movers once margin is symmetric
         margin.flat[::n + 1] = np.inf
-        rows = np.minimum(margin, margin.T)[free]
-        repeats = ((rows - slack) / (1.0 + free)).min() / rate
-        k = int(min(max(repeats, 0.0), left - 1))
+        cheap = (np.minimum(margin, margin.T)[free] - slack) / ((1.0 + free) * rate)
+        k = left - 1
+        short = cheap < k
+        if short.any():
+            # refine the pairs the cheap bound limits, the most limiting first
+            rows, cols = np.nonzero(short)
+            mover = free.tolist()
+            p = pos.tolist()
+            g = slack + left * drift
+            for bound, i, j in sorted(zip(cheap[rows, cols].tolist(),
+                                          np.flatnonzero(free)[rows].tolist(), cols.tolist())):
+                if bound >= k:
+                    break
+                if mover[j] and j < i:
+                    continue  # the same pair as (j, i)
+                k = min(k, max(int(bound), _pair_repeats(i, j, p, h, steps, mover, rounds,
+                                                         delta, g, k)))
+                if not k:
+                    break
         moving = new[free]
         d = move[free]
         for _ in range(k):

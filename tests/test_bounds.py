@@ -93,6 +93,17 @@ def test_expected_time_values():
         expected_time_bound(2, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("n", [1_000, 10_000, 10 ** 6, 10 ** 8, 10 ** 9, 10 ** 12])
+def test_shrink_fraction_matches_its_series(n):
+    # 1 - sqrt(1 - t2) = t2/2 + t2^2/8 + O(t2^3); the difference form loses
+    # every digit as t2 shrinks (3.6x too large at n = 1e8, 0 at n = 1e9)
+    t2 = math.tan(math.pi / (4.0 * n)) ** 2
+    series = t2 / 2.0 + t2 * t2 / 8.0
+    assert math.isclose(shrink_min(n, 0.1), 0.1 * series, rel_tol=1e-12)
+    assert math.isclose(expected_time_bound(n, 0.1, 50.0),
+                        8.0 * n ** 3 / series * 500.0, rel_tol=1e-12)
+
+
 def test_expected_time_asymptotics():
     # 1 - sqrt(1 - tan^2(pi/4n)) ~ pi^2 / (32 n^2), so the bound grows like
     # 256 n^5 / pi^2 * d / delta; agreement within 5% from n = 50 up

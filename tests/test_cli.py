@@ -23,6 +23,14 @@ def test_bounds_command_json(capsys):
     assert math.isclose(payload["step_min"], 0.1 * math.tan(math.pi / 16), rel_tol=1e-12)
 
 
+def test_bounds_command_at_a_billion_agents(capsys):
+    # the shrink fraction is ~3e-19 here; it used to round to 0 and raise
+    assert main(["bounds", "--n", "1000000000", "--delta", "0.1", "--dmax", "50"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0.0 < payload["shrink_min"] < payload["step_min"]
+    assert math.isfinite(payload["expected_intervals_ub"])
+
+
 def test_sim_discrete_outputs(tmp_path):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.csv"

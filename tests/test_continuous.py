@@ -1,6 +1,7 @@
 """Continuous blind-zone process: sensing, integration, distance bands."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,9 +81,14 @@ def naive_interval(positions, chi, delta, substep, nsub):
 def plain_interval(pos, hx, hy, delta2, step, nsub):
     """The substep loop that senses on every substep, as the integrator ran
     before it skipped repeated substeps; the elided integrator must match it
-    bit for bit."""
+    bit for bit. Returns the number of substeps whose final movers differ
+    from the previous substep's (the first substep counts): an integrator
+    that repeats the previous substep's movers without sensing has to sense
+    at least these."""
     n = pos.shape[0]
     hvec = np.stack([hx, hy], axis=1)
+    changes = 0
+    previous = None
     for _ in range(nsub):
         blocked, near = blocked_agents(pos, hx, hy, delta2)
         free = ~blocked
@@ -101,9 +107,12 @@ def plain_interval(pos, hx, hy, delta2, step, nsub):
             hold = cross & free[:, None] & (hx[:, None] * ex + hy[:, None] * ey <= 0.0)
             neither = cross & ~(hold | hold.T)
             free &= ~(hold | (neither & free[:, None])).any(axis=1)
+        changes += previous is None or not np.array_equal(free, previous)
+        previous = free
         if not free.any():
             break
         pos[:] = new
+    return changes
 
 
 @pytest.fixture
@@ -120,13 +129,16 @@ def sensed(monkeypatch):
     return count
 
 
-def assert_matches_plain(positions, hx, hy, delta=0.1, substep=1e-3):
-    """Run one interval both ways from the same start; return the result."""
+def assert_matches_plain(positions, hx, hy, delta=0.1, substep=1e-3, changes=None):
+    """Run one interval both ways from the same start; return the result.
+    Adds plain_interval's count of mover changes to changes[0] if given."""
     nsub = round(1.0 / substep)
     got = np.array(positions, dtype=float)
     want = got.copy()
     _advance_interval(got, hx, hy, delta * delta, substep, nsub)
-    plain_interval(want, hx, hy, delta * delta, substep, nsub)
+    count = plain_interval(want, hx, hy, delta * delta, substep, nsub)
+    if changes is not None:
+        changes[0] += count
     assert np.array_equal(got, want)
     return got
 
@@ -264,15 +276,62 @@ def test_held_sliding_pair_with_stationary_partner_is_elided(sensed):
     assert sensed[0] < 10
 
 
-def test_pair_held_while_partner_approaches():
+def test_pair_held_while_partner_approaches(sensed):
     # agent 1 heads away from agent 0 and is held at the edge of the blind
     # zone; agent 0 follows it, so agent 1 slides on whenever the gap allows,
     # a decision that changes from one substep to the next
     chi = np.array([0.3, 0.5])
     pos = np.array([[0.0, 0.0], [0.0999 * math.cos(0.4), 0.0999 * math.sin(0.4)]])
-    got = assert_matches_plain(pos, np.cos(chi), np.sin(chi))
+    changes = [0]
+    got = assert_matches_plain(pos, np.cos(chi), np.sin(chi), changes=changes)
     assert 0.099 < np.hypot(*(got[1] - got[0])) <= 0.1
     assert np.hypot(*(got[1] - pos[1])) > 0.4  # agent 1 did slide on
+    # agent 1's hold flips on most substeps; the rest are elided
+    assert changes[0] <= sensed[0] < 200
+
+
+def test_pair_moving_side_by_side_is_sensed_once(sensed):
+    # agents 0 and 1 move in parallel within delta, so their difference never
+    # changes; agent 2 ahead of them is blocked by both, and they approach it
+    # by less than its distance
+    pos = np.array([[0.0, 0.0], [0.0, 0.06], [3.0, 0.03]])
+    hx, hy = np.ones(3), np.zeros(3)
+    got = assert_matches_plain(pos, hx, hy)
+    assert np.array_equal(got[2], pos[2]) and got[0, 0] == got[1, 0] > 0.99
+    assert sensed[0] == 1
+
+
+def test_chord_through_a_blind_zone_then_held(sensed):
+    # agent 0 passes the blocked agent 1 at distance 0.05 < delta: it enters
+    # agent 1's blind zone, crosses it along a chord and is held where it
+    # would leave it, so the interval is sensed at the start, inside the
+    # blind zone, and where the hold begins
+    pos = np.array([[-0.3, 0.05], [0.0, 0.0], [3.0, 0.5]])
+    hx, hy = np.array([1.0, 0.0, 1.0]), np.array([0.0, -1.0, 0.0])
+    got = assert_matches_plain(pos, hx, hy)
+    assert np.array_equal(got[1:], pos[1:])
+    chord_end = math.sqrt(0.1 ** 2 - 0.05 ** 2)
+    assert chord_end - 1e-3 < got[0, 0] <= chord_end
+    assert sensed[0] <= 3
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_sensings_close_to_the_mover_change_count(n, sensed):
+    # over whole runs the integrator senses little more than the substeps
+    # whose movers change, which any bit-identical elision has to sense
+    changes = [0]
+    for seed in range(3):
+        cfg = ContinuousConfig(n=n, delta=0.1, spread=5.0, seed=seed)
+        rng = make_rng(cfg.seed)
+        pos = init_constellation(cfg, rng).positions
+        for _ in range(1000):
+            chi = rng.uniform(0, 2 * math.pi, n)
+            pos = assert_matches_plain(pos, np.cos(chi), np.sin(chi), changes=changes)
+            if min_enclosing_disc(pos).radius < cfg.delta:
+                break
+        else:
+            pytest.fail(f"n={n} seed={seed} did not converge")
+    assert changes[0] <= sensed[0] <= 1.25 * changes[0]
 
 
 @pytest.mark.parametrize("flip", [1, 2, 37, 256, 1000])
@@ -301,6 +360,54 @@ def test_blind_zone_entry_exactly_k_substeps_ahead(flip, sensed):
     # one sensing covers every substep before the flip (the pair then sits
     # at distance delta, a zero margin, and is sensed on each substep)
     assert sensed[0] <= 1 + 1024 - flip
+
+
+def _exactly_sound(kind, args, k):
+    """Whether the k returned by a repeat-count helper keeps its term on the
+    same side for every t in [0, k], in exact rational arithmetic (k = 0
+    claims nothing)."""
+    if k == 0:
+        return True
+    if kind == "linear":
+        a0, a1, guard = map(Fraction, args)
+        return all(abs(a0 + t * a1) > guard and (a0 + t * a1 > 0) == (a0 > 0) for t in (0, k))
+    vx, vy, wx, wy, limit = map(Fraction, args)
+    square = lambda t: (vx + t * wx) ** 2 + (vy + t * wy) ** 2
+    if kind == "within":  # convex: the maximum is at an endpoint
+        return max(square(0), square(k)) < limit ** 2
+    a = wx * wx + wy * wy
+    vertex = min(max(-(vx * wx + vy * wy) / a, 0), k) if a else 0
+    return square(vertex) > limit ** 2
+
+
+REPEATS = {"linear": continuous._linear_repeats, "within": continuous._within_repeats,
+           "beyond": continuous._beyond_repeats}
+
+
+def test_repeat_counts_are_exactly_sound():
+    cases = [("linear", (1.0, -0.125, 0.3)), ("linear", (-1.0, 0.125, 0.375)),
+             ("within", (0.05, 0.0, 2.0 ** -10, 0.0, 0.1))]
+    # a grazing pass: the pair dips below the limit by ~1e-13 relative at its
+    # closest approach, t = 768, but the rounded discriminant is 0, so the
+    # smaller root evaluates to the vertex itself
+    limit = 2.0 ** -7
+    cases += [("beyond", (1.5, limit * (1.0 - e * 1e-14), -2.0 ** -9, 0.0, limit))
+              for e in range(1, 21)]
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        v = rng.uniform(-0.3, 0.3, 2)
+        w = rng.uniform(-2e-3, 2e-3, 2) * rng.choice([0.0, 1.0, 1.0])
+        near = float(np.hypot(*v)) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -1))
+        cases.append(("within" if rng.random() < 0.5 else "beyond", (*v, *w, near)))
+        cases.append(("linear", (v[0], w[0], abs(v[0]) * rng.uniform(0.0, 1.0))))
+    counts = []
+    for kind, args in cases:
+        k = REPEATS[kind](*args, 1023)
+        assert 0 <= k <= 1023 and _exactly_sound(kind, args, k), (kind, args, k)
+        counts.append(k)
+    # the root 5 of the second case is exact, so t = 5 sits on the guard and
+    # the check rejects it; the grazing cases must stop before t = 768
+    assert counts[:3] == [5, 0, 51] and max(counts[3:23]) < 768
 
 
 def test_head_on_pair_closes_two_per_interval():
