@@ -254,13 +254,14 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
     """Integrate nsub substeps of the sliding rule in place on pos, sensing
     only the substeps whose decisions can change (module docstring)."""
     n = pos.shape[0]
-    move = step * np.stack([hx, hy], axis=1)
+    heading = np.stack([hx, hy], axis=1)
+    move = step * heading
     delta = math.sqrt(delta2)
     coord = 2.0 * float(np.abs(pos).max()) + 2.0  # X, bounds every coordinate of the interval
     rate = step + 4.0 * _UNIT_ROUNDOFF * coord  # r, the longest stored move
     slack = 64.0 * _UNIT_ROUNDOFF * coord  # e, the rounding of a computed margin
     drift = 8.0 * _UNIT_ROUNDOFF * coord  # rho, one substep's rounding of a pair difference
-    h = np.stack([hx, hy], axis=1).tolist()
+    h = heading.tolist()
     steps = move.tolist()
     left = nsub
     while left:
