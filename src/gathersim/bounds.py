@@ -5,6 +5,7 @@ delta, and the initial maximal pairwise distance. All angles are radians.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -93,11 +94,19 @@ def shrink_min(n: int, delta: float) -> float:
 def expected_time_bound(n: int, delta: float, d_max0: float) -> float:
     """Upper bound on the expected number of unit intervals until the
     constellation is confined in a disc of radius delta:
-    8 n^3 / (1 - sqrt(1 - tan^2(pi/4n))) * d_max0 / delta."""
+    8 n^3 / (1 - sqrt(1 - tan^2(pi/4n))) * d_max0 / delta. It grows like
+    n^5 and passes the float range from about n = 1e61 at d_max0 / delta =
+    500; a bound that is not a finite float raises ValueError."""
     _require(n >= 2, "expected_time_bound needs n >= 2")
     _require(0 < delta < math.inf, "expected_time_bound needs finite delta > 0")
     _require(0 < d_max0 < math.inf, "expected_time_bound needs finite d_max0 > 0")
-    return 8.0 * n ** 3 / _shrink_fraction(n) * (d_max0 / delta)
+    try:
+        bound = 8.0 * n ** 3 / _shrink_fraction(n) * (d_max0 / delta)
+    except OverflowError:  # n or n ** 3 beyond the float range
+        bound = math.inf
+    _require(math.isfinite(bound), f"expected_time_bound is not a finite float at n = {n}, "
+                                   f"delta = {delta!r}, d_max0 = {d_max0!r}")
+    return bound
 
 
 @dataclass
@@ -119,8 +128,10 @@ class BoundsReport:
 def compute_bounds(n: int, delta: float, d_max0: float) -> BoundsReport:
     """Assemble the full report. Accepts n >= 2; alpha_max degenerates to 0
     for n = 2 (a two-point hull has no interior corner) while the remaining
-    bounds stay strictly positive."""
+    bounds stay strictly positive. An n beyond the float range, or a bound
+    that is not a finite float, raises ValueError."""
     _require(n >= 2, "compute_bounds needs n >= 2")
+    _require(n <= sys.float_info.max, f"compute_bounds needs n within the float range, got n = {n}")
     _require(0 < delta < math.inf, "compute_bounds needs finite delta > 0")
     _require(0 < d_max0 < math.inf, "compute_bounds needs finite d_max0 > 0")
     theta_s, gamma_s = theta_gamma(n)

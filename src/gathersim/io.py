@@ -8,8 +8,11 @@ files on every platform.
 import csv
 import json
 from dataclasses import asdict
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .bounds import BoundsReport
 from .harness import FitResult
@@ -20,18 +23,42 @@ SUMMARY_HEADER = ["run_id", "seed", "n", "spread", "converged_step", "final_radi
 SERIES_HEADER = ["interval", "sec_radius", "lyapunov", "confined"]
 
 
+# trace row pieces: the cached coordinate text, and the moved column by flag
+_XY = "{!r},{!r},"
+_MOVED = (",0\n", ",1\n")
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """One row per agent per recorded frame, written one frame at a time."""
+    """One row per agent per recorded frame, written one frame at a time.
+
+    Few agents move between frames, so the "x,y," text of each agent is kept
+    from the previous recorded frame and re-formatted only where the
+    coordinates differ bitwise (so 0.0 and -0.0 differ); the cache starts
+    over when the agent count changes. Each frame is joined from per-column
+    iterators without a Python-level loop over its rows.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
+        bits = None
         for frame in trace.frames:
-            rows = zip(frame.positions.tolist(), frame.headings.tolist(), frame.moved.tolist())
-            fh.write("".join(f"{frame.step},{a},{x!r},{y!r},{h!r},{int(m)}\n"
-                             for a, ((x, y), h, m) in enumerate(rows)))
+            positions = np.ascontiguousarray(frame.positions, dtype=np.float64)
+            now = positions.view(np.int64)
+            n = len(positions)
+            if bits is None or len(bits) != n:
+                agents = list(map(",{},".format, range(n)))
+                xy = list(map(_XY.format, *positions.T.tolist()))
+            else:
+                changed = np.flatnonzero((now != bits).any(axis=1)).tolist()
+                for a, text in zip(changed, map(_XY.format, *positions[changed].T.tolist())):
+                    xy[a] = text
+            bits = now
+            fh.write("".join(chain.from_iterable(zip(
+                repeat(str(frame.step), n), agents, xy, map(repr, frame.headings.tolist()),
+                map(_MOVED.__getitem__, frame.moved.tolist())))))
 
 
 def write_summaries_csv(summaries: Sequence[RunSummary], path) -> None:
