@@ -139,6 +139,23 @@ def test_delta_and_dmax_domain_errors(bad):
             call()
 
 
+@pytest.mark.parametrize("exponent", [70, 200, 400])
+def test_bounds_beyond_the_float_range_name_n(exponent):
+    # the bound passes the float range from about n = 1e61 here (it used to
+    # be inf), n ** 3 from 5.6e102 and n itself from 1.8e308; the last two
+    # used to escape as an OverflowError
+    n = 10 ** exponent
+    for call in (lambda: expected_time_bound(n, 0.1, 50.0), lambda: compute_bounds(n, 0.1, 50.0)):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            call()
+
+
+def test_expected_time_bound_stays_finite_or_raises():
+    assert math.isfinite(compute_bounds(10 ** 60, 0.1, 50.0).expected_intervals_ub)
+    with pytest.raises(ValueError, match="not a finite float at n = 4"):
+        expected_time_bound(4, 1e-300, 1e300)
+
+
 # ------------------------------------------------- partial derivatives
 
 

@@ -31,6 +31,15 @@ def test_bounds_command_at_a_billion_agents(capsys):
     assert math.isfinite(payload["expected_intervals_ub"])
 
 
+@pytest.mark.parametrize("exponent", [200, 400])
+def test_bounds_command_beyond_the_float_range_exits_2(exponent, capsys):
+    n = 10 ** exponent
+    assert main(["bounds", "--n", str(n), "--delta", "0.1", "--dmax", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n = {n}" in captured.err
+
+
 def test_sim_discrete_outputs(tmp_path):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.csv"
