@@ -1,6 +1,14 @@
 """Monte-Carlo experiment orchestration: seeded sweeps over agent counts and
-least-squares trend fitting of their convergence steps."""
+least-squares trend fitting of their convergence steps.
 
+A sweep runs its cells in forked worker processes, one per usable CPU (the
+process's affinity mask) up to one per cell; with one usable CPU, or no
+`fork` start method, it runs them in process. Each cell is seeded by
+derive_seed(base_seed, n, rep) and placed by (n, rep), so the summaries are
+the same for every worker count.
+"""
+
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,6 +41,10 @@ class SweepConfig:
             raise ValueError("n_values must not repeat")
         self.reps = check_integer("reps", self.reps, 1)
         self.base_seed = check_integer("base_seed", self.base_seed, 0, SEED_LIMIT)
+        # the run options are checked here, by the model config, rather than
+        # by the first cell to run, which may be in a worker process
+        _model_run(self.model, min(self.n_values), self.base_seed, self.spread, self.delta,
+                   self.substep, self.max_steps)
 
 
 class FitResult(NamedTuple):
@@ -45,6 +57,21 @@ def _given(**options) -> dict:
     return {k: v for k, v in options.items() if v is not None}
 
 
+def _model_run(model: str, n: int, seed: int, spread: float, delta: float | None = None,
+               substep: float | None = None, steps: int | None = None):
+    """(config, run function) of one run of either model; the config checks
+    the options, and giving `delta` or `substep` to the discrete model is a
+    ValueError."""
+    if model == "discrete":
+        if delta is not None or substep is not None:
+            raise ValueError("delta and substep apply to the continuous model only")
+        return DiscreteConfig(n=n, spread=spread, seed=seed,
+                              **_given(max_steps=steps)), run_discrete
+    config = ContinuousConfig(n=n, spread=spread, seed=seed,
+                              **_given(delta=delta, substep=substep, max_intervals=steps))
+    return config, run_continuous
+
+
 def single_run(model: str, n: int, seed: int, spread: float, delta: float | None = None,
                substep: float | None = None, steps: int | None = None, **run_opts):
     """One seeded run of either model from the parameters `sim` and `sweep`
@@ -52,14 +79,30 @@ def single_run(model: str, n: int, seed: int, spread: float, delta: float | None
     unit intervals) and `delta`/`substep` are continuous only; each keeps its
     config default when None, and giving `delta` or `substep` to the discrete
     model is a ValueError. `run_opts` go to the run function."""
-    if model == "discrete":
-        if delta is not None or substep is not None:
-            raise ValueError("delta and substep apply to the continuous model only")
-        config = DiscreteConfig(n=n, spread=spread, seed=seed, **_given(max_steps=steps))
-        return run_discrete(config, **run_opts)
-    config = ContinuousConfig(n=n, spread=spread, seed=seed,
-                              **_given(delta=delta, substep=substep, max_intervals=steps))
-    return run_continuous(config, **run_opts)
+    config, run = _model_run(model, n, seed, spread, delta, substep, steps)
+    return run(config, **run_opts)
+
+
+def _run_cell(config: SweepConfig, n: int, rep: int) -> RunSummary:
+    """The summary of sweep cell (n, rep), run untraced."""
+    seed = derive_seed(config.base_seed, n, rep)
+    return single_run(config.model, n, seed, config.spread, config.delta, config.substep,
+                      config.max_steps, collect_trace=False)[1]
+
+
+def _sweep_jobs(cells: int) -> int:
+    """Worker processes for a sweep of `cells` cells: the usable CPUs (the
+    affinity mask where the platform has one), at most one per cell, and 1
+    where processes cannot be forked."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cells, cpus)
 
 
 def run_sweep(config: SweepConfig) -> list[RunSummary]:
@@ -67,18 +110,33 @@ def run_sweep(config: SweepConfig) -> list[RunSummary]:
 
     Summaries come back sorted by (n ascending, rep ascending) with run_id
     numbering that order, so the output is independent of execution order
-    and byte-stable for a fixed config.
+    and of the worker count, and byte-stable for a fixed config. The cells
+    run in a pool of forked workers, one per usable CPU up to one per cell,
+    largest n first; with one worker they run in this process. A cell's
+    exception reaches the caller, and no worker outlives the call.
     """
-    summaries = []
-    run_id = 0
-    for n in sorted(config.n_values):
-        for rep in range(config.reps):
-            seed = derive_seed(config.base_seed, n, rep)
-            _, summary = single_run(config.model, n, seed, config.spread, config.delta,
-                                    config.substep, config.max_steps, collect_trace=False)
-            summary.run_id = run_id
-            summaries.append(summary)
-            run_id += 1
+    cells = [(n, rep) for n in sorted(config.n_values) for rep in range(config.reps)]
+    jobs = _sweep_jobs(len(cells))
+    if jobs == 1:
+        summaries = [_run_cell(config, n, rep) for n, rep in cells]
+    else:
+        import multiprocessing
+
+        # fork, not spawn: a spawned worker re-imports numpy and gathersim,
+        # which takes about as long as a small sweep. The pool forks its
+        # workers before it starts its helper threads.
+        pool = multiprocessing.get_context("fork").Pool(jobs)
+        try:
+            heaviest_first = [(config, n, rep) for n, rep in reversed(cells)]
+            summaries = pool.starmap(_run_cell, heaviest_first, chunksize=1)[::-1]
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
+    for run_id, summary in enumerate(summaries):
+        summary.run_id = run_id
     return summaries
 
 

@@ -138,8 +138,7 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
     flags against the previous step; without it no per-step flags are
     computed. Non-convergence is a data outcome, not an error.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    record_every = check_integer("record_every", record_every, 1)
     rng = make_rng(config.seed)
     state = initial if initial is not None else init_constellation(config, rng)
     if state.n != config.n:

@@ -2,10 +2,13 @@
 
 import json
 import math
+import multiprocessing
 
 import pytest
 
+from gathersim import harness
 from gathersim.cli import main
+from test_harness import fail_cell_at_n10
 
 
 def read_bytes(path):
@@ -108,6 +111,31 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert len(payload["n_means"]) == 2
     rows = out1.read_text().splitlines()
     assert len(rows) == 5  # header + 2 n-values x 2 reps
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "discrete", "--n-list", "5,10,20", "--reps", "2", "--steps", "3000"],
+    ["--model", "continuous", "--n-list", "2,3", "--reps", "2", "--spread", "2"],
+], ids=["discrete", "continuous"])
+def test_sweep_bytes_do_not_depend_on_the_worker_count(flags, tmp_path, monkeypatch):
+    outputs = {}
+    for jobs in (1, 2):
+        monkeypatch.setattr(harness, "_sweep_jobs", lambda cells, jobs=jobs: jobs)
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", *flags, "--base-seed", "23", "--out", str(out)]) == 0
+        outputs[jobs] = (read_bytes(out), read_bytes(tmp_path / f"jobs{jobs}.fit.json"))
+    assert outputs[1] == outputs[2]
+
+
+def test_sweep_cell_error_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 2)
+    monkeypatch.setattr(harness, "_run_cell", fail_cell_at_n10)
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--model", "discrete", "--n-list", "5,10", "--reps", "2",
+                 "--base-seed", "1", "--steps", "500", "--out", str(out)]) == 2
+    assert "failed" in capsys.readouterr().err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_invalid_arguments_exit_2(tmp_path, capsys):

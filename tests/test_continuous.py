@@ -599,3 +599,9 @@ def test_capped_run_record_every_matches_full_cadence():
         assert np.array_equal(f.positions, ref.positions)
         assert np.array_equal(f.headings, ref.headings)
         assert np.array_equal(f.moved, ref.moved)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 0])
+def test_run_rejects_a_non_integral_record_every(bad):
+    with pytest.raises(ValueError, match="record_every"):
+        run_continuous(ContinuousConfig(n=3, spread=2.0, seed=1), record_every=bad)

@@ -206,6 +206,13 @@ def test_run_record_every_cadence():
         assert np.array_equal(f.moved, ref.moved)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, 0])
+def test_run_rejects_a_non_integral_record_every(bad):
+    # 1.5 used to record frames 0, 3, 6, ... and True was taken as 1
+    with pytest.raises(ValueError, match="record_every"):
+        run_discrete(DiscreteConfig(n=5, seed=1), record_every=bad)
+
+
 def test_capped_run_computes_the_disc_once(monkeypatch):
     # far from convergence the observer never needs the exact disc; the
     # summary's final radius is its only call

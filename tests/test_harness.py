@@ -1,8 +1,12 @@
 """Sweep orchestration, seed derivation and fitting."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from gathersim import harness
 from gathersim.harness import (
     SweepConfig,
     fit_sweep,
@@ -106,6 +110,17 @@ def test_sweep_config_validation():
         SweepConfig(model="discrete", n_values=[10, 10], reps=1, base_seed=0)
 
 
+@pytest.mark.parametrize("model,option,bad", [
+    ("discrete", "delta", 0.1), ("continuous", "spread", -1.0),
+    ("continuous", "spread", float("nan")), ("continuous", "substep", 0.3),
+    ("discrete", "max_steps", 0),
+])
+def test_sweep_config_rejects_bad_run_options(model, option, bad):
+    # rejected at construction, before any cell runs in a worker
+    with pytest.raises(ValueError, match=option):
+        SweepConfig(model=model, n_values=[2, 3], reps=1, base_seed=0, **{option: bad})
+
+
 @pytest.mark.parametrize("field,bad", [
     ("n_values", [5, 2.5]), ("n_values", [True, 5]), ("n_values", [0, 5]),
     ("reps", 1.5), ("reps", True), ("base_seed", 0.5), ("base_seed", -1),
@@ -121,6 +136,77 @@ def test_sweep_config_accepts_numpy_integers():
     cfg = SweepConfig(model="discrete", n_values=np.array([2, 3]), reps=np.int64(1),
                       base_seed=np.uint64(5), max_steps=3)
     assert [s.n for s in run_sweep(cfg)] == [2, 3]
+
+
+_real_run_cell = harness._run_cell
+
+
+def fail_cell_at_n10(config, n, rep):
+    """`_run_cell` whose cells at n = 10 raise; module level, so a pool can
+    send it to its workers."""
+    if n == 10:
+        raise ValueError(f"cell ({n}, {rep}) failed")
+    return _real_run_cell(config, n, rep)
+
+
+PARALLEL_SWEEPS = [
+    SweepConfig(model="discrete", n_values=[10, 5, 20], reps=2, base_seed=41,
+                max_steps=3000),
+    SweepConfig(model="continuous", n_values=[2, 3], reps=2, base_seed=8, spread=2.0,
+                max_steps=2000),
+]
+
+
+@pytest.mark.parametrize("cfg", PARALLEL_SWEEPS, ids=lambda c: c.model)
+def test_sweep_summaries_do_not_depend_on_the_worker_count(cfg, monkeypatch):
+    runs = {}
+    for jobs in (1, 2):
+        monkeypatch.setattr(harness, "_sweep_jobs", lambda cells, jobs=jobs: jobs)
+        runs[jobs] = run_sweep(cfg)
+        assert multiprocessing.active_children() == []
+    assert runs[1] == runs[2]
+    assert [s.run_id for s in runs[2]] == list(range(len(runs[2])))
+
+
+def test_sweep_cell_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
+    monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 2)
+    monkeypatch.setattr(harness, "_run_cell", fail_cell_at_n10)
+    cfg = SweepConfig(model="discrete", n_values=[5, 10, 20], reps=2, base_seed=3,
+                      max_steps=500)
+    with pytest.raises(ValueError, match=r"cell \(10, \d\) failed"):
+        run_sweep(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_with_one_worker_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker sweep started a pool")
+
+    monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    cfg = SweepConfig(model="discrete", n_values=[2, 3], reps=2, base_seed=5, max_steps=50)
+    assert [s.n for s in run_sweep(cfg)] == [2, 2, 3, 3]
+
+
+def test_sweep_jobs_is_bounded_by_the_cells_and_the_usable_cpus(monkeypatch):
+    # only the helper runs here: no pool is started at these counts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4096)), raising=False)
+    assert harness._sweep_jobs(1) == 1
+    assert harness._sweep_jobs(160) == 160
+    assert harness._sweep_jobs(10 ** 6) == 4096
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert harness._sweep_jobs(160) == 1
+    # without an affinity mask the CPU count bounds it, and an unknown count is 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert harness._sweep_jobs(2) == 2
+    assert harness._sweep_jobs(160) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._sweep_jobs(160) == 1
+    # a platform without fork runs the cells in process
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert harness._sweep_jobs(160) == 1
 
 
 def test_fit_sweep_excludes_nonconverged():
