@@ -2,13 +2,12 @@
 
 import json
 import math
-import multiprocessing
 
 import pytest
 
 from gathersim import harness
 from gathersim.cli import main
-from test_harness import fail_cell_at_n10
+from test_harness import assert_no_child_process, fail_cell_at_n10
 
 
 def read_bytes(path):
@@ -135,7 +134,7 @@ def test_sweep_cell_error_exits_2(tmp_path, monkeypatch, capsys):
                  "--base-seed", "1", "--steps", "500", "--out", str(out)]) == 2
     assert "failed" in capsys.readouterr().err
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_invalid_arguments_exit_2(tmp_path, capsys):

@@ -141,6 +141,14 @@ def test_sweep_config_accepts_numpy_integers():
 _real_run_cell = harness._run_cell
 
 
+def assert_no_child_process():
+    """No child of this process is left, running or unreaped; checked before
+    `active_children()`, which would reap exited workers itself."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
 def fail_cell_at_n10(config, n, rep):
     """`_run_cell` whose cells at n = 10 raise; module level, so a pool can
     send it to its workers."""
@@ -163,7 +171,7 @@ def test_sweep_summaries_do_not_depend_on_the_worker_count(cfg, monkeypatch):
     for jobs in (1, 2):
         monkeypatch.setattr(harness, "_sweep_jobs", lambda cells, jobs=jobs: jobs)
         runs[jobs] = run_sweep(cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
     assert runs[1] == runs[2]
     assert [s.run_id for s in runs[2]] == list(range(len(runs[2])))
 
@@ -175,7 +183,7 @@ def test_sweep_cell_error_reaches_the_caller_and_no_worker_outlives_it(monkeypat
                       max_steps=500)
     with pytest.raises(ValueError, match=r"cell \(10, \d\) failed"):
         run_sweep(cfg)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_sweep_with_one_worker_starts_no_pool(monkeypatch):
