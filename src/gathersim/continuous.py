@@ -37,30 +37,12 @@ the interval there. More generally, substeps whose decisions provably
 repeat are applied without re-sensing. Once a sensed substep has fixed its
 final movers F, the next substep's decisions are sign tests on pair terms
 that only change for pairs with a member in F (the differences of other
-pairs are the same floats), and each test is some margin away from its
-threshold:
-  - |dot| = |h_i . (p_j - p_i)|, the back-line test, for a pair beyond delta
-    (the sensor ignores it for a pair within delta);
-  - |sqrt(d2) - delta|, the within-delta test at the sensed positions;
-  - |sqrt(e2) - delta| at the trial positions of every hold round, for
-    every pair (the rule reads it for the pairs within delta).
-A pair with m of its members in F moves each of these terms by at most m * r
-per substep, where r bounds one stored move |fl(x + step * h) - x| and |h|
-is 1. So the k following substeps repeat every decision of the pair when
-k * m * r + e <= margin, where e bounds the rounding of the computed
-margins. This cheap bound serves as a filter. The back tests of a crossing
-pair need no margin in it: its member that ends up moving did not have the
-other behind it, so that move did not lengthen the pair, and the two
-distance margins of the pair add up to at most r + 20uX (below), which
-forces k = 0.
-
-For every pair with a mover whose cheap bound is below the substeps left,
-the integrator computes an exact count and keeps the larger of the two
-(both are sound). With F and the free
-set G of every hold round fixed, the pair difference after t more substeps
-is v + t w, with v = p_j - p_i at the sensed positions and
-w = step * (F_j h_j - F_i h_i), and each decision of the pair is the sign of
-a function of t:
+pairs are the same floats). For every pair with a mover the integrator
+computes an exact count of the substeps over which its decisions repeat.
+With F and the free set G of every hold round fixed, the pair difference
+after t more substeps is v + t w, with v = p_j - p_i at the sensed positions
+and w = step * (F_j h_j - F_i h_i), and each decision of the pair is the
+sign of a function of t:
   - linear, for the back-line tests: h_i . (v + t w) and h_j . -(v + t w) of
     a pair beyond delta, and the same on the trial difference of a crossing
     pair for each of its members in G;
@@ -72,36 +54,31 @@ functions give the largest k over which every one keeps its sign. The
 candidate is then checked by evaluation: a linear function, and a quadratic
 that must stay within, at both ends of [0, k] (a convex function is largest
 at an end); a quadratic that must stay beyond at its vertex clamped to
-[0, k]. If the check fails the count is 0 and the pair keeps its cheap
-bound, so the rounding of the roots can only shorten k. The integrator
-takes the least bound over the pairs with a mover (capped at the substeps
-left, and all of them when no pair has a mover) and applies those substeps
-as k more `x += step * h` additions on the rows of F: the same float
-operations in the same order, so the positions are bit-identical to
-sensing every substep. The refinement runs as scalar Python on the few pairs the filter
-leaves, the most limiting first, and stops once no remaining cheap bound is
-below the current k; numpy calls on arrays that small cost more than scalar
-float arithmetic.
+[0, k]. If the check fails the count is 0 and the next substep is sensed,
+so the rounding of the roots can only shorten k. The integrator takes the
+least count over the pairs with a mover (capped at the substeps left, and
+all of them when no pair has a mover) and applies those substeps as k more
+`x += step * h` additions on the rows of F: the same float operations in
+the same order, so the positions are bit-identical to sensing every
+substep. The counts run as scalar Python, mover by mover in index order,
+and stop at the first 0; at the n this runs at, numpy calls on arrays that
+small cost more than scalar float arithmetic.
 
 The rounding guard. Let u = 2^-53 and X = 2 max|x| + 2 at the start of the
-interval; as long as nsub <= 2^51, no coordinate leaves [-X, X] within the
-interval. One stored move is then at most step (1 + 3u) + sqrt(2) u X <=
-r = step + 4 u X, which is how far a coordinate as large as 1e13, where
-ulp(x) = 2^-9 is twice the default substep, really moves. Each computed
-term (a dot product, a distance, their difference from the threshold) is
-within 16 u X of its exact value, so e = 64 u X covers both ends with a
-factor of two. For the exact counts: one stored addition moves a
-coordinate by step * h_c plus at most |fl(x + d) - (x + d)| + |d - step h_c|
-<= u X + u step, with d = fl(step * h_c). A pair's two members move its
-difference by w plus at most 2 sqrt(2) u (X + step) < 4.3 u X per
-substep (step <= 1 <= X / 2), so rho = 8 u X bounds it with a factor of
-about two, and after t < left substeps the stored difference is within
-left * rho of v + t w. Evaluating v + t w and its terms in floats rounds by
-less than the 16 u X of a computed term, so g = e + left * rho covers the
-decision at the sensed substep, the decision at substep t and the
-evaluation of the model. At ordinary coordinates e is ~1e-13 and g ~1e-11,
-far below one substep, and a cheap bound k is within one of
-margin / (m * step).
+interval. The config enforces nsub <= 2^51 (a substep of at least 2^-51), so
+no coordinate leaves [-X, X] within the interval. Each computed term (a dot
+product, a distance, their difference from the threshold) is within 16 u X
+of its exact value, so e = 64 u X covers both ends with a factor of two.
+One stored addition moves a coordinate by step * h_c plus at most
+|fl(x + d) - (x + d)| + |d - step h_c| <= u X + u step, with
+d = fl(step * h_c). A pair's two members move its difference by w plus at
+most 2 sqrt(2) u (X + step) < 4.3 u X per substep (step <= 1 <= X / 2), so
+rho = 8 u X bounds it with a factor of about two, and after t < left
+substeps the stored difference is within left * rho of v + t w. Evaluating
+v + t w and its terms in floats rounds by less than the 16 u X of a computed
+term, so g = e + left * rho covers the decision at the sensed substep, the
+decision at substep t and the evaluation of the model. At ordinary
+coordinates e is ~1e-13 and g ~1e-11, far below one substep.
 
 The integrator, `_advance_interval`, is vectorized over agents with numpy;
 it shares the sensor's pair terms (`geometry._pair_terms`) with
@@ -139,8 +116,9 @@ class ContinuousConfig:
         for name in ("delta", "spread"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not 0.0 < self.substep <= 1.0:
-            raise ValueError("substep must lie in (0, 1]")
+        if not 2.0 ** -51 <= self.substep <= 1.0:
+            # below it nsub exceeds 2^51, past the integrator's rounding guard
+            raise ValueError(f"substep must lie in [2**-51, 1], got {self.substep!r}")
         if self.nsub < 1 or abs(self.nsub * self.substep - 1.0) > 1e-9:
             raise ValueError("substep must divide the unit interval exactly")
 
@@ -258,8 +236,7 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
     move = step * heading
     delta = math.sqrt(delta2)
     coord = 2.0 * float(np.abs(pos).max()) + 2.0  # X, bounds every coordinate of the interval
-    rate = step + 4.0 * _UNIT_ROUNDOFF * coord  # r, the longest stored move
-    slack = 64.0 * _UNIT_ROUNDOFF * coord  # e, the rounding of a computed margin
+    slack = 64.0 * _UNIT_ROUNDOFF * coord  # e, the rounding of a computed term
     drift = 8.0 * _UNIT_ROUNDOFF * coord  # rho, one substep's rounding of a pair difference
     h = heading.tolist()
     steps = move.tolist()
@@ -269,9 +246,6 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
         blocked, near = _blind_zone_sensor(dot, d2, delta2)
         free = ~blocked
         guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
-        # margin[i, j]: distance to the nearest flip of a decision on pair (i, j)
-        margin = np.where(near, np.inf, np.abs(dot))
-        np.minimum(margin, np.abs(np.sqrt(d2) - delta), out=margin)
         rounds = []
         while True:
             new = np.where(free[:, None], pos + move, pos)
@@ -280,7 +254,6 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
             rounds.append(free.tolist())
             tdot, te2 = _pair_terms(new, hx, hy)
             cross = near & (te2 > delta2)
-            np.minimum(margin, np.abs(np.sqrt(te2) - delta), out=margin)
             if not cross.any():
                 break
             # hold[i, j]: i moves and ends with j in its closed back half-plane
@@ -289,28 +262,16 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
             free &= ~(hold | (neither & free[:, None])).any(axis=1)
         if not free.any():
             break
-        # the cheap bound of each pair with a mover, on the rows of the
-        # movers once margin is symmetric
-        margin.flat[::n + 1] = np.inf
-        cheap = (np.minimum(margin, margin.T)[free] - slack) / ((1.0 + free) * rate)
+        # the least exact count over the pairs with a mover, each pair once
         k = left - 1
-        short = cheap < k
-        if short.any():
-            # refine the pairs the cheap bound limits, the most limiting first
-            rows, cols = np.nonzero(short)
-            mover = free.tolist()
-            p = pos.tolist()
-            g = slack + left * drift
-            for bound, i, j in sorted(zip(cheap[rows, cols].tolist(),
-                                          np.flatnonzero(free)[rows].tolist(), cols.tolist())):
-                if bound >= k:
-                    break
-                if mover[j] and j < i:
-                    continue  # the same pair as (j, i)
-                k = min(k, max(int(bound), _pair_repeats(i, j, p, h, steps, mover, rounds,
-                                                         delta, g, k)))
-                if not k:
-                    break
+        mover = free.tolist()
+        p = pos.tolist()
+        g = slack + left * drift
+        for i, j in ((i, j) for i in range(n) if mover[i] for j in range(n)
+                     if j != i and not (mover[j] and j < i)):
+            k = _pair_repeats(i, j, p, h, steps, mover, rounds, delta, g, k)
+            if not k:
+                break
         moving = new[free]
         d = move[free]
         for _ in range(k):

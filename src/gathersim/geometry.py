@@ -143,7 +143,7 @@ def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
 
     With a blind zone the kernel is dense, with (n, n) temporaries: the pair
     terms of _pair_terms, reduced by _blind_zone_sensor (the continuous
-    integrator reads the same terms for its margins). Without one, above
+    integrator reads the same terms for its hold rounds). Without one, above
     _DENSE_MAX_N agents it is output-sensitive (_witness_blocked) and needs
     O(n * _WITNESS_DIRECTIONS) memory. Both paths evaluate the same
     floating-point expression on the pairs they test, so blocked is the same.

@@ -184,6 +184,17 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
         assert main(["bounds", "--n", "4", "--delta", delta, "--dmax", dmax]) == 2
 
 
+@pytest.mark.parametrize("substep", ["5e-324", "1e-300"])
+def test_substep_below_the_rounding_guard_exits_2(substep, tmp_path, capsys):
+    # 5e-324 used to overflow in nsub (exit 1), 1e-300 to run without end
+    trace = tmp_path / "t.csv"
+    assert main(["sim", "--model", "continuous", "--n", "3", "--seed", "1",
+                 "--substep", substep, "--trace", str(trace),
+                 "--summary", str(tmp_path / "s.csv")]) == 2
+    assert "substep" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_unwritable_output_exit_3(tmp_path):
     args = ["sim", "--model", "discrete", "--n", "2", "--seed", "0",
             "--trace", str(tmp_path / "missing_dir" / "t.csv"),

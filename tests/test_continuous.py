@@ -166,6 +166,18 @@ def test_config_rejects_non_integer_counts(field, bad):
         ContinuousConfig(**{"n": 3, field: bad})
 
 
+@pytest.mark.parametrize("substep", [5e-324, 1e-300, 2.0 ** -52])
+def test_config_rejects_substeps_below_the_rounding_guard(substep):
+    # nsub would exceed 2^51 (at 5e-324 1 / substep overflows, at 1e-300 an
+    # interval would never end); the config is only built, never run
+    with pytest.raises(ValueError, match="substep"):
+        ContinuousConfig(n=3, substep=substep)
+
+
+def test_config_accepts_the_smallest_substep():
+    assert ContinuousConfig(n=3, substep=2.0 ** -51).nsub == 2 ** 51
+
+
 def test_config_accepts_numpy_integers():
     cfg = ContinuousConfig(n=np.int64(3), seed=np.uint64((1 << 64) - 1),
                            max_intervals=np.int32(5))
@@ -238,6 +250,17 @@ def test_elided_matches_plain_far_from_the_origin(offset):
         pos = rng.uniform(0.0, 0.15, (n, 2)) + offset
         chi = rng.uniform(0, 2 * math.pi, n)
         assert_matches_plain(pos, np.cos(chi), np.sin(chi))
+
+
+@pytest.mark.parametrize("n,spread", [(40, 0.4), (80, 0.6)])
+def test_elided_matches_plain_from_clustered_starts_at_large_n(n, spread):
+    # 149 and 215 pairs start within delta, so every interval runs the exact
+    # count over a long list of pairs with hold rounds
+    rng = make_rng(n)
+    pos = rng.uniform(0.0, spread, (n, 2))
+    for _ in range(5):
+        chi = rng.uniform(0, 2 * math.pi, n)
+        pos = assert_matches_plain(pos, np.cos(chi), np.sin(chi))
 
 
 def test_elision_covers_moves_longer_than_the_substep():
