@@ -7,9 +7,9 @@ at one length unit per interval (an agent may therefore stop and restart
 within one interval as the constellation evolves around it). An agent's
 sensor ignores everything within distance delta of it, in every direction:
 agent j blocks agent i iff d_ij > delta and j lies in i's closed back
-half-plane. This is the discrete model's sensor with a blind zone, and both
-models share its kernel (`geometry.blocked_agents`) and their run loop
-(`state.run_loop`).
+half-plane. This is the discrete model's sensor with a blind zone; each
+model has its own sensor function in `geometry` (`blind_zone_sensor` here,
+`blocked_agents` there), and both share their run loop (`state.run_loop`).
 
 In the exact dynamics a pair within delta can never separate beyond delta:
 the agent moving away has the other in its closed back half-plane as soon
@@ -81,8 +81,9 @@ decision at substep t and the evaluation of the model. At ordinary
 coordinates e is ~1e-13 and g ~1e-11, far below one substep.
 
 The integrator, `_advance_interval`, is vectorized over agents with numpy;
-it shares the sensor's pair terms (`geometry._pair_terms`) with
-`blocked_agents`, only moves positions, and leaves the moved flags to the
+it senses each sensed substep with one `geometry.blind_zone_sensor` call,
+reads the same pair terms (`geometry._pair_terms`) at the trial positions
+of its hold rounds, only moves positions, and leaves the moved flags to the
 run loop, which derives them from the position change. The Lyapunov
 observable is recorded once per interval in `Trace.series`.
 """
@@ -93,9 +94,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _blind_zone_sensor, _pair_terms, as_points, min_enclosing_disc
-from .rng import SEED_LIMIT
-from .state import Constellation, RunSummary, Trace, check_integer, run_loop, step_headings
+from .geometry import _pair_terms, as_points, blind_zone_sensor, min_enclosing_disc
+from .rng import SEED_LIMIT, check_integer
+from .state import Constellation, RunSummary, Trace, run_loop, step_headings
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -242,8 +243,7 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
     steps = move.tolist()
     left = nsub
     while left:
-        dot, d2 = _pair_terms(pos, hx, hy)
-        blocked, near = _blind_zone_sensor(dot, d2, delta2)
+        blocked, near = blind_zone_sensor(pos, hx, hy, delta2)
         free = ~blocked
         guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
         rounds = []

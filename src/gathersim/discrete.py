@@ -4,9 +4,10 @@ Each unit step every agent redraws a uniform heading, then jumps one length
 unit forward iff the closed half-plane behind its new heading contains no
 other agent. A run has gathered once the minimal enclosing disc has radius
 at most 1, the step. Sensing is evaluated for all agents against the pre-move
-positions, so the update is fully synchronous. The sensor is the continuous
-model's kernel (`geometry.blocked_agents`) without a blind zone, and runs go
-through the run loop both models share (`state.run_loop`).
+positions, so the update is fully synchronous. The sensor is
+`geometry.blocked_agents`, the continuous model's back-half-plane test
+without a blind zone, and runs go through the run loop both models share
+(`state.run_loop`).
 """
 
 import math
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import blocked_agents, min_enclosing_disc
-from .rng import SEED_LIMIT
-from .state import Constellation, RunSummary, Trace, check_integer, run_loop, step_headings
+from .rng import SEED_LIMIT, check_integer
+from .state import Constellation, RunSummary, Trace, run_loop, step_headings
 
 
 @dataclass
@@ -45,7 +46,7 @@ def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headin
     headings = step_headings(rng, state.n, headings)
     hx = np.cos(headings)
     hy = np.sin(headings)
-    free = ~blocked_agents(state.positions, hx, hy, -1.0)[0]
+    free = ~blocked_agents(state.positions, hx, hy)
     positions = state.positions.copy()
     positions[free, 0] += hx[free]
     positions[free, 1] += hy[free]

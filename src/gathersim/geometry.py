@@ -1,8 +1,9 @@
 """Planar primitives shared by the dynamics engines and the bounds module.
 
 Only what the simulators and the convergence analysis consume: the
-back-half-plane sensor kernel of both models, strictly convex hulls, hull
-corner angles, and the minimal enclosing disc. Coordinates are float64
+back-half-plane sensor of each model (`blocked_agents` for the discrete
+model, `blind_zone_sensor` for the continuous one), strictly convex hulls,
+hull corner angles, and the minimal enclosing disc. Coordinates are float64
 throughout; angles are radians.
 """
 
@@ -21,7 +22,7 @@ _DISC_EPS = 1.0 + 1e-14
 # the expected-linear behavior of the randomized incremental construction.
 _DISC_SHUFFLE_SEED = 0x5EED
 
-# The sensor without a blind zone runs dense up to this many agents, where the
+# The discrete sensor runs dense up to this many agents, where the
 # dense kernel is no slower than the witness filter (crossover measured on
 # frames of discrete runs), and output-sensitive above it.
 _DENSE_MAX_N = 80
@@ -130,33 +131,39 @@ def corner_angles(hull: Hull) -> np.ndarray:
     return np.pi - turn
 
 
-def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
-                   delta2: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sensor of every agent at once, for headings (hx, hy).
+def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """The discrete model's sensor of every agent at once, for headings
+    (hx, hy): blocked[i] is True iff some agent j != i lies in agent i's
+    closed back half-plane (dot product <= 0), so coincident agents block
+    each other.
 
-    blocked[i] is True iff some agent j != i with squared distance > delta2
-    lies in agent i's closed back half-plane (dot product <= 0). near[i, j]
-    is True iff the squared distance is <= delta2, and always on the
-    diagonal. A negative delta2 (the discrete model passes -1) is the sensor
-    without a blind zone, under which coincident agents block each other and
-    near, which would be the identity, is None.
-
-    With a blind zone the kernel is dense, with (n, n) temporaries: the pair
-    terms of _pair_terms, reduced by _blind_zone_sensor (the continuous
-    integrator reads the same terms for its hold rounds). Without one, above
-    _DENSE_MAX_N agents it is output-sensitive (_witness_blocked) and needs
-    O(n * _WITNESS_DIRECTIONS) memory. Both paths evaluate the same
-    floating-point expression on the pairs they test, so blocked is the same.
+    Up to _DENSE_MAX_N agents the kernel is dense, with (n, n) temporaries;
+    above it, output-sensitive (_witness_blocked), with O(n *
+    _WITNESS_DIRECTIONS) memory. Both paths evaluate the same floating-point
+    expression on the pairs they test, so blocked is the same.
     """
-    if delta2 >= 0.0:
-        return _blind_zone_sensor(*_pair_terms(positions, hx, hy), delta2)
     if len(positions) > _DENSE_MAX_N:
-        return _witness_blocked(positions, hx, hy), None
+        return _witness_blocked(positions, hx, hy)
     dx = positions[None, :, 0] - positions[:, None, 0]
     dy = positions[None, :, 1] - positions[:, None, 1]
     back = hx[:, None] * dx + hy[:, None] * dy <= 0.0
     np.fill_diagonal(back, False)
-    return back.any(axis=1), None
+    return back.any(axis=1)
+
+
+def blind_zone_sensor(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
+                      delta2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The continuous model's sensor of every agent at once, for headings
+    (hx, hy) and a blind zone of squared radius delta2 >= 0.
+
+    blocked[i] is True iff some agent j with squared distance > delta2 lies
+    in agent i's closed back half-plane (dot product <= 0). near[i, j] is
+    True iff the squared distance is <= delta2, so always on the diagonal.
+    The kernel is dense, built from the pair terms of _pair_terms.
+    """
+    dot, d2 = _pair_terms(positions, hx, hy)
+    near = d2 <= delta2
+    return (~near & (dot <= 0.0)).any(axis=1), near
 
 
 def _pair_terms(positions, hx, hy) -> tuple[np.ndarray, np.ndarray]:
@@ -168,16 +175,9 @@ def _pair_terms(positions, hx, hy) -> tuple[np.ndarray, np.ndarray]:
     return hx[:, None] * dx + hy[:, None] * dy, dx * dx + dy * dy
 
 
-def _blind_zone_sensor(dot, d2, delta2) -> tuple[np.ndarray, np.ndarray]:
-    """blocked and near of blocked_agents with a blind zone, reduced from
-    the pair terms."""
-    near = d2 <= delta2
-    return (~near & (dot <= 0.0)).any(axis=1), near
-
-
 def _witness_blocked(positions, hx, hy) -> np.ndarray:
-    """blocked_agents without a blind zone, in time and memory proportional
-    to n times the witness count plus n per agent that no witness blocks.
+    """blocked_agents in time and memory proportional to n times the
+    witness count plus n per agent that no witness blocks.
 
     An agent is free only if it is the unique minimiser of its heading's
     projection, so only agents on the hull can move. The witnesses are the

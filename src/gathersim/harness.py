@@ -16,8 +16,8 @@ import numpy as np
 
 from .continuous import ContinuousConfig, run_continuous
 from .discrete import DiscreteConfig, run_discrete
-from .rng import SEED_LIMIT, derive_seed
-from .state import RunSummary, check_integer
+from .rng import SEED_LIMIT, check_integer, derive_seed
+from .state import RunSummary
 
 
 @dataclass
@@ -124,17 +124,12 @@ def run_sweep(config: SweepConfig) -> list[RunSummary]:
 
         # fork, not spawn: a spawned worker re-imports numpy and gathersim,
         # which takes about as long as a small sweep. The pool forks its
-        # workers before it starts its helper threads.
-        pool = multiprocessing.get_context("fork").Pool(jobs)
-        try:
+        # workers before it starts its helper threads. Leaving the block
+        # terminates and joins the workers, on success and on a cell's
+        # exception alike.
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
             heaviest_first = [(config, n, rep) for n, rep in reversed(cells)]
             summaries = pool.starmap(_run_cell, heaviest_first, chunksize=1)[::-1]
-            pool.close()
-        except BaseException:
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
     for run_id, summary in enumerate(summaries):
         summary.run_id = run_id
     return summaries

@@ -5,7 +5,11 @@ All stochastic draws flow through a numpy PCG64 generator built by
 via `derive_seed`, a SplitMix64-style mix of (base_seed, n, rep) using the
 published constants 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB, so grids are reproducible and order-independent.
+Both validate their arguments with `check_integer`, the integer check the
+configs use for their counts, seeds and caps.
 """
+
+import numbers
 
 import numpy as np
 
@@ -16,11 +20,25 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_integer(name: str, value, low: int, high: int | None = None) -> int:
+    """value as a Python int; ValueError unless it is an integer (a Python
+    or numpy integer, not a bool) with low <= value, and value < high when
+    given."""
+    # type() first: the common case, a plain int, skips the slower ABC check
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and value >= high:
+        raise ValueError(f"{name} must be < {high}")
+    return int(value)
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded generator; identical seeds give identical draw sequences."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.default_rng(seed)
+    """Seeded generator; identical seeds give identical draw sequences.
+    ValueError unless seed is an unsigned 64-bit integer."""
+    return np.random.default_rng(check_integer("seed", seed, 0, SEED_LIMIT))
 
 
 def _mix64(z: int) -> int:
@@ -34,10 +52,12 @@ def derive_seed(base_seed: int, n: int, rep: int) -> int:
 
     Each argument is absorbed through the SplitMix64 increment-and-finalize
     step; collision-free in practice for any grid a sweep can produce
-    (verified by scan in the test suite).
+    (verified by scan in the test suite). ValueError unless base_seed is an
+    unsigned 64-bit integer and n and rep are non-negative integers.
     """
-    if n < 0 or rep < 0:
-        raise ValueError("n and rep must be non-negative")
+    base_seed = check_integer("base_seed", base_seed, 0, SEED_LIMIT)
+    n = check_integer("n", n, 0)
+    rep = check_integer("rep", rep, 0)
     h = (base_seed + (n + 1) * _GAMMA) & _MASK64
     h = _mix64(h)
     h = (h + (rep + 1) * _GAMMA) & _MASK64

@@ -2,28 +2,14 @@
 by both engines."""
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import min_enclosing_disc
-from .rng import make_rng
+from .rng import check_integer, make_rng
 
 TWO_PI = 2.0 * math.pi
-
-
-def check_integer(name: str, value, low: int, high: int | None = None) -> int:
-    """value as a Python int; ValueError unless it is an integer (a Python
-    or numpy integer, not a bool) with low <= value, and value < high when
-    given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    if high is not None and value >= high:
-        raise ValueError(f"{name} must be < {high}")
-    return int(value)
 
 
 @dataclass
@@ -130,7 +116,8 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
     `step(state, config, rng)` returns the next Constellation, with rng =
     make_rng(config.seed). The run starts from `initial` if given, else from
     the seeded uniform placement; `initial` takes no draws, so the generator
-    then starts at the seed's first draw.
+    then starts at the seed's first draw, and a non-finite entry of it is a
+    ValueError before the first observation.
     `observe(trace, state, k)` returns (converged, radius); radius may be
     None, and if it is None at the last state the enclosing disc is computed
     once, after the loop, for the summary. With `collect_trace` the trace
@@ -143,6 +130,9 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
     state = initial if initial is not None else init_constellation(config, rng)
     if state.n != config.n:
         raise ValueError("initial constellation size does not match config.n")
+    if initial is not None and not (np.isfinite(initial.positions).all()
+                                    and np.isfinite(initial.headings).all()):
+        raise ValueError("initial constellation has NaN or infinite positions or headings")
     trace = Trace(model=model)
     prev_positions = state.positions
     k = 0

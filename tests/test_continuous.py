@@ -18,7 +18,7 @@ from gathersim.continuous import (
     run_continuous,
 )
 from gathersim import continuous
-from gathersim.geometry import blocked_agents, min_enclosing_disc
+from gathersim.geometry import blind_zone_sensor, min_enclosing_disc
 from gathersim.rng import make_rng
 from gathersim.state import Constellation, Frame, Trace, init_constellation
 
@@ -90,7 +90,7 @@ def plain_interval(pos, hx, hy, delta2, step, nsub):
     changes = 0
     previous = None
     for _ in range(nsub):
-        blocked, near = blocked_agents(pos, hx, hy, delta2)
+        blocked, near = blind_zone_sensor(pos, hx, hy, delta2)
         free = ~blocked
         guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
         while True:
@@ -119,13 +119,13 @@ def plain_interval(pos, hx, hy, delta2, step, nsub):
 def sensed(monkeypatch):
     """Counts the substeps the integrator senses (calls of its sensor)."""
     count = [0]
-    sensor = continuous._blind_zone_sensor
+    sensor = continuous.blind_zone_sensor
 
     def counted(*args):
         count[0] += 1
         return sensor(*args)
 
-    monkeypatch.setattr(continuous, "_blind_zone_sensor", counted)
+    monkeypatch.setattr(continuous, "blind_zone_sensor", counted)
     return count
 
 
@@ -552,6 +552,19 @@ def test_run_two_agents_converges_well_under_bound():
         steps.append(summary.converged_step)
     assert np.mean(steps) <= bound
     assert np.mean(steps) < 0.05 * bound  # the closed-form ceiling is loose
+
+
+@pytest.mark.parametrize("positions, headings", [
+    ([[0.0, 0.0], [1.0, 1.0]], [math.nan, 0.0]),
+    ([[0.0, 0.0], [1.0, 1.0]], [0.0, -math.inf]),
+    ([[math.nan, 0.0], [1.0, 1.0]], [0.0, 0.0]),
+    ([[0.0, 0.0], [1.0, math.inf]], [0.0, 0.0]),
+])
+def test_run_rejects_a_non_finite_initial(positions, headings):
+    # a non-finite position used to fail only inside the observer's disc
+    initial = Constellation(positions, headings)
+    with pytest.raises(ValueError, match="initial"):
+        run_continuous(ContinuousConfig(n=2, max_intervals=3), initial=initial)
 
 
 def test_run_series_and_bands():

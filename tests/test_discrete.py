@@ -176,6 +176,19 @@ def test_run_close_pair_converges_at_step_zero():
     assert math.isclose(summary.final_radius, 0.25, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("positions, headings", [
+    ([[0.0, 0.0], [1.0, 1.0]], [math.nan, 0.0]),
+    ([[0.0, 0.0], [1.0, 1.0]], [0.0, math.inf]),
+    ([[0.0, math.nan], [1.0, 1.0]], [0.0, 0.0]),
+    ([[0.0, 0.0], [-math.inf, 1.0]], [0.0, 0.0]),
+])
+def test_run_rejects_a_non_finite_initial(positions, headings):
+    # a NaN heading used to reach frame 0 of a run reported as converged
+    initial = Constellation(positions, headings)
+    with pytest.raises(ValueError, match="initial"):
+        run_discrete(DiscreteConfig(n=2, max_steps=3), initial=initial)
+
+
 def test_run_deterministic_trace():
     cfg = DiscreteConfig(n=15, seed=17)
     t1, s1 = run_discrete(cfg)

@@ -12,6 +12,7 @@ from gathersim.discrete import DiscreteConfig, run_discrete
 from gathersim.geometry import (
     Vec2,
     as_points,
+    blind_zone_sensor,
     blocked_agents,
     convex_hull,
     corner_angles,
@@ -213,15 +214,24 @@ def test_disc_deterministic():
 # ------------------------------------------------- the sensor of one agent
 
 
-def sensor(pts, heading, delta2=-1.0) -> list[bool]:
-    """blocked_agents with every agent facing `heading`; without a blind
-    zone, checked against the oracle."""
+def facing(pts, heading):
+    """The points as an array, and every agent's heading set to `heading`."""
     pts = np.asarray(pts, dtype=float)
-    hx, hy = np.full(len(pts), float(heading[0])), np.full(len(pts), float(heading[1]))
-    blocked = blocked_agents(pts, hx, hy, delta2)[0].tolist()
-    if delta2 < 0.0:
-        assert blocked == oracle_blocked(pts, hx, hy)
+    return pts, np.full(len(pts), float(heading[0])), np.full(len(pts), float(heading[1]))
+
+
+def sensor(pts, heading) -> list[bool]:
+    """blocked_agents with every agent facing `heading`, checked against the
+    oracle."""
+    pts, hx, hy = facing(pts, heading)
+    blocked = blocked_agents(pts, hx, hy).tolist()
+    assert blocked == oracle_blocked(pts, hx, hy)
     return blocked
+
+
+def zone_sensor(pts, heading, delta2) -> list[bool]:
+    """blind_zone_sensor with every agent facing `heading`."""
+    return blind_zone_sensor(*facing(pts, heading), delta2)[0].tolist()
 
 
 def test_back_sensor_boundary_cases():
@@ -241,13 +251,13 @@ def test_blind_zone_cases():
     delta = 0.1
     delta2 = delta**2
     # within delta directly behind: invisible
-    assert sensor([(0, 0), (-delta / 2, 0)], (1, 0), delta2)[0] is False
+    assert zone_sensor([(0, 0), (-delta / 2, 0)], (1, 0), delta2)[0] is False
     # exactly at distance delta: still invisible (strict d > delta)
-    assert sensor([(0, 0), (-delta, 0)], (1, 0), delta2)[0] is False
+    assert zone_sensor([(0, 0), (-delta, 0)], (1, 0), delta2)[0] is False
     # beyond delta directly behind: blocks
-    assert sensor([(0, 0), (-2 * delta, 0)], (1, 0), delta2)[0] is True
+    assert zone_sensor([(0, 0), (-2 * delta, 0)], (1, 0), delta2)[0] is True
     # beyond delta directly ahead: front half-plane never blocks
-    assert sensor([(0, 0), (2 * delta, 0)], (1, 0), delta2)[0] is False
+    assert zone_sensor([(0, 0), (2 * delta, 0)], (1, 0), delta2)[0] is False
 
 
 def test_back_sensor_matches_angle_oracle_bulk():
@@ -271,30 +281,30 @@ def test_back_sensor_matches_angle_oracle_bulk():
 
 
 def test_back_sensors_vectorized_equals_scalar():
-    # the all-agents kernel against a pure-Python scan, without a blind zone
-    # (delta2 = -1: coincident agents block, no near matrix) and with one
-    # that hides pairs
+    # both all-agents sensors against pure-Python scans: blocked_agents
+    # (coincident agents 4 and 9 block each other) and blind_zone_sensor
+    # with a zone that hides pairs
     rng = np.random.default_rng(78)
     n = 15
     pts = rng.uniform(0, 50, (n, 2))
     pts[9] = pts[4]
     chi = rng.uniform(0, 2 * math.pi, n)
     hx, hy = np.cos(chi), np.sin(chi)
-    for delta2 in (-1.0, 300.0):
-        blocked, near = blocked_agents(pts, hx, hy, delta2)
-        if delta2 < 0.0:
-            assert near is None
-        for i in range(n):
-            hit = False
-            for j in range(n):
-                dx = pts[j, 0] - pts[i, 0]
-                dy = pts[j, 1] - pts[i, 1]
-                if near is not None:
-                    assert near[i, j] == (i == j or dx * dx + dy * dy <= delta2)
-                if j != i and dx * dx + dy * dy > delta2 and hx[i] * dx + hy[i] * dy <= 0.0:
-                    hit = True
-            assert blocked[i] == hit
-        assert 0 < blocked.sum() < n
+    blocked = blocked_agents(pts, hx, hy)
+    assert blocked.tolist() == oracle_blocked(pts, hx, hy)
+    assert blocked[4] and blocked[9] and not blocked.all()
+    delta2 = 300.0
+    blocked, near = blind_zone_sensor(pts, hx, hy, delta2)
+    for i in range(n):
+        hit = False
+        for j in range(n):
+            dx = pts[j, 0] - pts[i, 0]
+            dy = pts[j, 1] - pts[i, 1]
+            assert near[i, j] == (i == j or dx * dx + dy * dy <= delta2)
+            if j != i and dx * dx + dy * dy > delta2 and hx[i] * dx + hy[i] * dy <= 0.0:
+                hit = True
+        assert blocked[i] == hit
+    assert 0 < blocked.sum() < n
     assert near.sum() > n  # some pair within the blind zone
 
 
@@ -315,14 +325,13 @@ def oracle_blocked(pts, hx, hy) -> list[bool]:
 
 @pytest.fixture(params=["dense", "witness"])
 def sensor_path(request, monkeypatch):
-    """Force blocked_agents without a blind zone onto one path for any n."""
+    """Force blocked_agents onto one path for any n."""
     monkeypatch.setattr(geometry, "_DENSE_MAX_N", 10**9 if request.param == "dense" else 0)
     return request.param
 
 
 def check_against_oracle(pts, hx, hy):
-    blocked, near = blocked_agents(pts, hx, hy, -1.0)
-    assert near is None
+    blocked = blocked_agents(pts, hx, hy)
     assert blocked.tolist() == oracle_blocked(pts, hx, hy)
     return blocked
 
@@ -351,7 +360,7 @@ def test_sensor_dispatch_at_the_threshold(monkeypatch):
     assert calls == [geometry._DENSE_MAX_N + 1] * 5
     # the blind-zone sensor stays dense at any n
     pts, hx, hy = random_case(0, geometry._DENSE_MAX_N + 1)
-    assert blocked_agents(pts, hx, hy, 1.0)[1].shape == (len(pts), len(pts))
+    assert blind_zone_sensor(pts, hx, hy, 1.0)[1].shape == (len(pts), len(pts))
     assert len(calls) == 5
 
 
@@ -373,6 +382,26 @@ def test_sensor_paths_coincident_pair(sensor_path):
     assert blocked[7] and blocked[50]
     pts[50] = (-99.0, 20.0)
     assert not check_against_oracle(pts, hx, hy)[7]
+
+
+@pytest.mark.parametrize("n", [10, geometry._DENSE_MAX_N + 1, 300])
+def test_sensors_agree_without_coincident_agents(n):
+    # with no two agents at one position, a blind zone of radius 0 hides
+    # nothing, so the continuous sensor is the discrete one on either path
+    for seed in range(3):
+        pts, hx, hy = random_case(seed, n)
+        assert len(np.unique(pts, axis=0)) == n
+        blocked, near = blind_zone_sensor(pts, hx, hy, 0.0)
+        assert np.array_equal(near, np.eye(n, dtype=bool))
+        assert np.array_equal(blocked, blocked_agents(pts, hx, hy))
+
+
+def test_sensors_differ_on_coincident_agents():
+    # the discrete sensor sees a coincident agent, the continuous one never
+    pts = np.array([(1.0, 1.0), (1.0, 1.0)])
+    hx, hy = np.array([1.0, 0.0]), np.array([0.0, -1.0])
+    assert blocked_agents(pts, hx, hy).tolist() == [True, True]
+    assert blind_zone_sensor(pts, hx, hy, 0.0)[0].tolist() == [False, False]
 
 
 def test_sensor_paths_all_coincident(sensor_path):
@@ -434,11 +463,10 @@ def test_sensor_memory_is_bounded_without_blind_zone(case):
     # the dense kernel's (n, n) temporaries would need hundreds of MiB here
     tracemalloc.start()
     try:
-        blocked, near = blocked_agents(*case, -1.0)
+        blocked_agents(*case)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert near is None
     assert peak < 16 * 2**20
 
 

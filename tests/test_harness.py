@@ -13,7 +13,7 @@ from gathersim.harness import (
     least_squares_fit,
     run_sweep,
 )
-from gathersim.rng import derive_seed
+from gathersim.rng import derive_seed, make_rng
 from gathersim.state import RunSummary
 
 
@@ -60,6 +60,29 @@ def test_seed_derivation_stable():
     assert derive_seed(0, 1, 0) != derive_seed(0, 2, 0)
     assert derive_seed(1, 1, 0) != derive_seed(0, 1, 0)
     assert 0 <= derive_seed(2**64 - 1, 10**6, 10**6) < 2**64
+
+
+@pytest.mark.parametrize("base_seed, n, rep", [
+    (2**64, 2, 3), (-5, 2, 3), (True, 2, 3), (1.0, 2, 3), ("3", 2, 3),
+    (0, -1, 3), (0, 2, -1), (0, 2.0, 3), (0, 2, True), (0, None, 3),
+])
+def test_seed_derivation_rejects_what_the_configs_reject(base_seed, n, rep):
+    # a base seed outside [0, 2**64) used to be folded modulo 2**64, and a
+    # bool taken as 0 or 1
+    with pytest.raises(ValueError):
+        derive_seed(base_seed, n, rep)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, "3", None, -1, 2**64])
+def test_make_rng_rejects_what_the_configs_reject(seed):
+    with pytest.raises(ValueError):
+        make_rng(seed)
+
+
+def test_seed_helpers_take_numpy_integers():
+    # derive_seed used to raise OverflowError on a numpy base seed
+    assert derive_seed(np.uint64(2**64 - 1), np.int64(2), np.int32(3)) == derive_seed(2**64 - 1, 2, 3)
+    assert make_rng(np.uint64(7)).random() == make_rng(7).random()
 
 
 def test_seed_collision_scan_million_cells():
