@@ -10,7 +10,7 @@ import sys
 from .bounds import compute_bounds
 from .continuous import ContinuousConfig
 from .discrete import DiscreteConfig
-from .harness import SweepConfig, fit_sweep, run_sweep, single_run
+from .harness import SweepConfig, fit_sweep, model_run, run_sweep
 from .io import (
     bounds_json,
     fit_json_path_for,
@@ -34,8 +34,8 @@ def _parse_n_list(text: str) -> list[int]:
 
 def _add_model_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", required=True, choices=["discrete", "continuous"])
-    parser.add_argument("--spread", type=float, default=50.0,
-                        help="side of the initial square (default 50)")
+    parser.add_argument("--spread", type=float, default=None,
+                        help=f"side of the initial square (default {DiscreteConfig.spread})")
     parser.add_argument("--delta", type=float, default=None,
                         help=f"blind-zone radius, continuous model only "
                              f"(default {ContinuousConfig.delta})")
@@ -84,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sim(args) -> int:
-    trace, summary = single_run(args.model, args.n, args.seed, args.spread, args.delta,
-                                args.substep, args.steps, record_every=args.record_every)
+    config, run = model_run(args.model, args.n, args.seed, args.spread, args.delta,
+                            args.substep, args.steps)
+    trace, summary = run(config, record_every=args.record_every)
     write_trace_csv(trace, args.trace)
     if trace.model == "continuous":
         write_series_csv(trace, series_path_for(args.trace))

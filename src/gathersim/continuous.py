@@ -229,13 +229,13 @@ def _pair_repeats(i, j, p, h, d, mover, rounds, delta, guard, cap):
     return k
 
 
-def _advance_interval(pos, hx, hy, delta2, step, nsub):
+def _advance_interval(pos, hx, hy, delta, step, nsub):
     """Integrate nsub substeps of the sliding rule in place on pos, sensing
     only the substeps whose decisions can change (module docstring)."""
     n = pos.shape[0]
     heading = np.stack([hx, hy], axis=1)
     move = step * heading
-    delta = math.sqrt(delta2)
+    delta2 = delta * delta
     coord = 2.0 * float(np.abs(pos).max()) + 2.0  # X, bounds every coordinate of the interval
     slack = 64.0 * _UNIT_ROUNDOFF * coord  # e, the rounding of a computed term
     drift = 8.0 * _UNIT_ROUNDOFF * coord  # rho, one substep's rounding of a pair difference
@@ -259,7 +259,7 @@ def _advance_interval(pos, hx, hy, delta2, step, nsub):
             # hold[i, j]: i moves and ends with j in its closed back half-plane
             hold = cross & free[:, None] & (tdot <= 0.0)
             neither = cross & ~(hold | hold.T)
-            free &= ~(hold | (neither & free[:, None])).any(axis=1)
+            free &= ~(hold | neither).any(axis=1)
         if not free.any():
             break
         # the least exact count over the pairs with a mover, each pair once
@@ -289,8 +289,8 @@ def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None
     come from `rng`."""
     headings = step_headings(rng, state.n, headings)
     pos = state.positions.copy()
-    _advance_interval(pos, np.cos(headings), np.sin(headings),
-                      config.delta * config.delta, config.substep, config.nsub)
+    _advance_interval(pos, np.cos(headings), np.sin(headings), config.delta, config.substep,
+                      config.nsub)
     return Constellation(pos, headings, state.step_index + 1)
 
 

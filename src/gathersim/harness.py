@@ -26,14 +26,12 @@ class SweepConfig:
     n_values: Sequence[int]
     reps: int
     base_seed: int
-    spread: float = 50.0
+    spread: float | None = None  # config default when None
     delta: float | None = None  # continuous model only; config default when None
     substep: float | None = None  # continuous model only; config default when None
     max_steps: int | None = None  # per-run cap; model default when None
 
     def __post_init__(self):
-        if self.model not in ("discrete", "continuous"):
-            raise ValueError(f"unknown model {self.model!r}")
         if len(self.n_values) == 0:
             raise ValueError("n_values must be non-empty")
         self.n_values = [check_integer("each n in n_values", n, 1) for n in self.n_values]
@@ -41,10 +39,11 @@ class SweepConfig:
             raise ValueError("n_values must not repeat")
         self.reps = check_integer("reps", self.reps, 1)
         self.base_seed = check_integer("base_seed", self.base_seed, 0, SEED_LIMIT)
-        # the run options are checked here, by the model config, rather than
-        # by the first cell to run, which may be in a worker process
-        _model_run(self.model, min(self.n_values), self.base_seed, self.spread, self.delta,
-                   self.substep, self.max_steps)
+        # the model and run options are checked here, by model_run and the
+        # model config, rather than by the first cell to run, which may be in
+        # a worker process
+        model_run(self.model, min(self.n_values), self.base_seed, self.spread, self.delta,
+                  self.substep, self.max_steps)
 
 
 class FitResult(NamedTuple):
@@ -57,37 +56,31 @@ def _given(**options) -> dict:
     return {k: v for k, v in options.items() if v is not None}
 
 
-def _model_run(model: str, n: int, seed: int, spread: float, delta: float | None = None,
-               substep: float | None = None, steps: int | None = None):
-    """(config, run function) of one run of either model; the config checks
-    the options, and giving `delta` or `substep` to the discrete model is a
+def model_run(model: str, n: int, seed: int, spread: float | None = None,
+              delta: float | None = None, substep: float | None = None,
+              steps: int | None = None):
+    """(config, run function) of one seeded run of either model, from the
+    options `sim` and `sweep` share. `steps` caps the run (discrete steps or
+    unit intervals) and `delta`/`substep` are continuous only; each option
+    keeps its config default when None, and the config checks the rest. An
+    unknown model, or `delta` or `substep` given to the discrete model, is a
     ValueError."""
     if model == "discrete":
         if delta is not None or substep is not None:
             raise ValueError("delta and substep apply to the continuous model only")
-        return DiscreteConfig(n=n, spread=spread, seed=seed,
-                              **_given(max_steps=steps)), run_discrete
-    config = ContinuousConfig(n=n, spread=spread, seed=seed,
-                              **_given(delta=delta, substep=substep, max_intervals=steps))
-    return config, run_continuous
-
-
-def single_run(model: str, n: int, seed: int, spread: float, delta: float | None = None,
-               substep: float | None = None, steps: int | None = None, **run_opts):
-    """One seeded run of either model from the parameters `sim` and `sweep`
-    share; returns (trace, summary). `steps` caps the run (discrete steps or
-    unit intervals) and `delta`/`substep` are continuous only; each keeps its
-    config default when None, and giving `delta` or `substep` to the discrete
-    model is a ValueError. `run_opts` go to the run function."""
-    config, run = _model_run(model, n, seed, spread, delta, substep, steps)
-    return run(config, **run_opts)
+        options = _given(spread=spread, max_steps=steps)
+        return DiscreteConfig(n=n, seed=seed, **options), run_discrete
+    if model == "continuous":
+        options = _given(spread=spread, delta=delta, substep=substep, max_intervals=steps)
+        return ContinuousConfig(n=n, seed=seed, **options), run_continuous
+    raise ValueError(f"unknown model {model!r}")
 
 
 def _run_cell(config: SweepConfig, n: int, rep: int) -> RunSummary:
     """The summary of sweep cell (n, rep), run untraced."""
-    seed = derive_seed(config.base_seed, n, rep)
-    return single_run(config.model, n, seed, config.spread, config.delta, config.substep,
-                      config.max_steps, collect_trace=False)[1]
+    cell, run = model_run(config.model, n, derive_seed(config.base_seed, n, rep), config.spread,
+                          config.delta, config.substep, config.max_steps)
+    return run(cell, collect_trace=False)[1]
 
 
 def _sweep_jobs(cells: int) -> int:

@@ -116,8 +116,9 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
     `step(state, config, rng)` returns the next Constellation, with rng =
     make_rng(config.seed). The run starts from `initial` if given, else from
     the seeded uniform placement; `initial` takes no draws, so the generator
-    then starts at the seed's first draw, and a non-finite entry of it is a
-    ValueError before the first observation.
+    then starts at the seed's first draw, and a non-finite position or a
+    heading outside [0, 2*pi) in it is a ValueError before the first
+    observation.
     `observe(trace, state, k)` returns (converged, radius); radius may be
     None, and if it is None at the last state the enclosing disc is computed
     once, after the loop, for the summary. With `collect_trace` the trace
@@ -131,8 +132,10 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
     if state.n != config.n:
         raise ValueError("initial constellation size does not match config.n")
     if initial is not None and not (np.isfinite(initial.positions).all()
-                                    and np.isfinite(initial.headings).all()):
-        raise ValueError("initial constellation has NaN or infinite positions or headings")
+                                    and ((initial.headings >= 0.0)
+                                         & (initial.headings < TWO_PI)).all()):
+        raise ValueError("initial constellation has NaN or infinite positions, "
+                         "or headings outside [0, 2*pi)")
     trace = Trace(model=model)
     prev_positions = state.positions
     k = 0

@@ -126,6 +126,38 @@ def test_sweep_bytes_do_not_depend_on_the_worker_count(flags, tmp_path, monkeypa
     assert outputs[1] == outputs[2]
 
 
+def test_sweep_warns_about_non_converged_runs(tmp_path, capsys):
+    # n = 40 cannot converge in 5 steps: its runs drop out of the fit
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--model", "discrete", "--n-list", "1,2,40", "--spread", "3",
+                 "--steps", "5", "--reps", "2", "--base-seed", "1", "--out", str(out)]) == 0
+    assert ("warning: 2 non-converged run(s) excluded from the fit"
+            in capsys.readouterr().err)
+    payload = json.loads((tmp_path / "sw.fit.json").read_text())
+    assert [m["n"] for m in payload["n_means"]] == [1, 2]
+
+
+def test_spread_defaults_to_the_config_default(tmp_path):
+    outputs = []
+    for extra in ([], ["--spread", "50"]):
+        trace, summary = tmp_path / f"t{len(extra)}.csv", tmp_path / f"s{len(extra)}.csv"
+        assert main(["sim", "--model", "discrete", "--n", "10", "--seed", "1", "--steps", "50",
+                     *extra, "--trace", str(trace), "--summary", str(summary)]) == 0
+        outputs.append((read_bytes(trace), read_bytes(summary)))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n_list, message", [
+    ("10,x", "not a comma-separated integer list"), (",", "empty n list"),
+])
+def test_malformed_n_list_exits_2(n_list, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "discrete", "--n-list", n_list, "--reps", "1",
+              "--base-seed", "0", "--out", str(tmp_path / "sw.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_cell_error_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 2)
     monkeypatch.setattr(harness, "_run_cell", fail_cell_at_n10)

@@ -135,7 +135,7 @@ def assert_matches_plain(positions, hx, hy, delta=0.1, substep=1e-3, changes=Non
     nsub = round(1.0 / substep)
     got = np.array(positions, dtype=float)
     want = got.copy()
-    _advance_interval(got, hx, hy, delta * delta, substep, nsub)
+    _advance_interval(got, hx, hy, delta, substep, nsub)
     count = plain_interval(want, hx, hy, delta * delta, substep, nsub)
     if changes is not None:
         changes[0] += count
@@ -481,7 +481,7 @@ def test_substep_level_separated_band():
         for _ in range(1000):
             d_before = np.hypot(pos[:, None, 0] - pos[None, :, 0],
                                 pos[:, None, 1] - pos[None, :, 1])
-            _advance_interval(pos, hx, hy, delta * delta, sub, 1)
+            _advance_interval(pos, hx, hy, delta, sub, 1)
             d_after = np.hypot(pos[:, None, 0] - pos[None, :, 0],
                                pos[:, None, 1] - pos[None, :, 1])
             grow = d_after - d_before
@@ -582,6 +582,22 @@ def test_run_series_and_bands():
     # lyapunov hits zero exactly at confinement
     assert trace.series[-1][2] == 0.0
     assert all(v > 0 for _, _, v, conf in trace.series[:-1] if not conf)
+
+
+def test_separation_band_names_both_kinds_of_violation():
+    # pair (0, 1) is separated and gains 0.01 > 4 * substep in interval 1;
+    # pair (2, 3) starts within delta and ends interval 2 at 0.2, beyond
+    # delta + 4 * substep. Every other pair stays inside its band.
+    frames = [np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.0, 0.05]]),
+              np.array([[0.0, 0.0], [1.01, 0.0], [10.0, 0.0], [10.0, 0.05]]),
+              np.array([[0.0, 0.0], [1.01, 0.0], [10.0, 0.0], [10.0, 0.2]])]
+    trace = Trace(model="continuous")
+    for k, pos in enumerate(frames):
+        trace.frames.append(Frame(k, pos, np.zeros(4), np.zeros(4, dtype=bool)))
+    violations = check_separation_band(trace, 0.1, 1e-3)
+    assert [v[:4] for v in violations] == [("separated_growth", 1, 0, 1),
+                                           ("close_pair_escape", 2, 2, 3)]
+    assert [v[4] for v in violations] == pytest.approx([1.01, 0.2])
 
 
 def test_lyapunov_increase_names_the_pairs_that_crossed_delta():

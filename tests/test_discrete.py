@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gathersim import geometry
-from gathersim.continuous import ContinuousConfig, continuous_interval
+from gathersim.continuous import ContinuousConfig, continuous_interval, run_continuous
 from gathersim.discrete import DiscreteConfig, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, min_enclosing_disc
 from gathersim.rng import make_rng
@@ -157,7 +157,31 @@ def test_step_rejects_non_finite_headings(step, cfg, bad):
         step(state, cfg, headings=[bad, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("step,cfg", [(discrete_step, DiscreteConfig(n=3)),
+                                      (continuous_interval, ContinuousConfig(n=3))],
+                         ids=["discrete", "continuous"])
+def test_step_rejects_headings_of_the_wrong_length(step, cfg):
+    state = Constellation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3))
+    with pytest.raises(ValueError, match="one entry per agent"):
+        step(state, cfg, headings=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("positions, headings, message", [
+    (np.zeros(3), np.zeros(3), "shape"),
+    (np.zeros((3, 3)), np.zeros(3), "shape"),
+    (np.zeros((3, 2)), np.zeros(2), "headings length"),
+])
+def test_constellation_rejects_mismatched_shapes(positions, headings, message):
+    with pytest.raises(ValueError, match=message):
+        Constellation(positions, headings)
+
+
 # -------------------------------------------------------------- run
+
+RUNS = pytest.mark.parametrize("run,cfg", [
+    (run_discrete, DiscreteConfig(n=2, max_steps=3)),
+    (run_continuous, ContinuousConfig(n=2, max_intervals=2)),
+], ids=["discrete", "continuous"])
 
 
 def test_run_single_agent_converges_immediately():
@@ -187,6 +211,29 @@ def test_run_rejects_a_non_finite_initial(positions, headings):
     initial = Constellation(positions, headings)
     with pytest.raises(ValueError, match="initial"):
         run_discrete(DiscreteConfig(n=2, max_steps=3), initial=initial)
+
+
+@RUNS
+@pytest.mark.parametrize("heading", [7.0, -1.0, 2 * math.pi])
+def test_run_rejects_an_initial_heading_outside_the_circle(run, cfg, heading):
+    # such a heading used to be recorded in frame 0 as given
+    initial = Constellation([[0.0, 0.0], [5.0, 5.0]], [heading, 0.0])
+    with pytest.raises(ValueError, match="initial"):
+        run(cfg, initial=initial)
+
+
+@RUNS
+def test_run_accepts_initial_headings_at_both_ends_of_the_circle(run, cfg):
+    headings = [0.0, float(np.nextafter(2 * np.pi, 0))]
+    trace, _ = run(cfg, initial=Constellation([[0.0, 0.0], [5.0, 5.0]], headings))
+    assert trace.frames[0].headings.tolist() == headings
+
+
+@RUNS
+def test_run_rejects_an_initial_of_another_size(run, cfg):
+    initial = Constellation(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="config.n"):
+        run(cfg, initial=initial)
 
 
 def test_run_deterministic_trace():

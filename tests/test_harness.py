@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from gathersim import harness
+from gathersim.continuous import ContinuousConfig, run_continuous
+from gathersim.discrete import DiscreteConfig, run_discrete
 from gathersim.harness import (
     SweepConfig,
     fit_sweep,
@@ -131,6 +133,14 @@ def test_sweep_config_validation():
         SweepConfig(model="discrete", n_values=[1], reps=0, base_seed=0)
     with pytest.raises(ValueError):
         SweepConfig(model="discrete", n_values=[10, 10], reps=1, base_seed=0)
+
+
+def test_model_run_keeps_each_config_default():
+    assert harness.model_run("discrete", 3, 1) == (DiscreteConfig(n=3, seed=1), run_discrete)
+    assert harness.model_run("continuous", 3, 1) == (ContinuousConfig(n=3, seed=1),
+                                                     run_continuous)
+    with pytest.raises(ValueError, match="unknown model"):
+        harness.model_run("quantum", 3, 1)
 
 
 @pytest.mark.parametrize("model,option,bad", [
