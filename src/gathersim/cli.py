@@ -6,6 +6,7 @@ All randomness flows from --seed / --base-seed; nothing reads the clock.
 
 import argparse
 import sys
+from pathlib import Path
 
 from .bounds import compute_bounds
 from .continuous import ContinuousConfig
@@ -83,9 +84,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(*paths):
+    """OSError unless each output's directory exists, so that a run whose
+    outputs cannot be written fails before it starts, not after."""
+    for path in paths:
+        directory = Path(path).parent
+        if not directory.is_dir():
+            raise OSError(f"cannot write {path}: {directory} is not an existing directory")
+
+
 def _cmd_sim(args) -> int:
     config, run = model_run(args.model, args.n, args.seed, args.spread, args.delta,
                             args.substep, args.steps)
+    _check_output_dirs(args.trace, args.summary)
     trace, summary = run(config, record_every=args.record_every)
     write_trace_csv(trace, args.trace)
     if trace.model == "continuous":
@@ -101,6 +112,7 @@ def _cmd_sweep(args) -> int:
                          max_steps=args.steps)
     if len(config.n_values) < 2:
         raise ValueError("a sweep fits a line over n and needs >= 2 agent counts")
+    _check_output_dirs(args.out)
     summaries = run_sweep(config)
     write_summaries_csv(summaries, args.out)
     fit, n_means, excluded = fit_sweep(summaries)

@@ -58,11 +58,12 @@ at an end); a quadratic that must stay beyond at its vertex clamped to
 so the rounding of the roots can only shorten k. The integrator takes the
 least count over the pairs with a mover (capped at the substeps left, and
 all of them when no pair has a mover) and applies those substeps as k more
-`x += step * h` additions on the rows of F: the same float operations in
-the same order, so the positions are bit-identical to sensing every
-substep. The counts run as scalar Python, mover by mover in index order,
-and stop at the first 0; at the n this runs at, numpy calls on arrays that
-small cost more than scalar float arithmetic.
+`x += step * h` additions on the rows of F, accumulated by numpy in chunks
+(`_repeat_add`): the same float operations in the same order, so the
+positions are bit-identical to sensing every substep. The counts run as
+scalar Python, mover by mover in index order, and stop at the first 0; at
+the n this runs at, numpy calls on arrays that small cost more than scalar
+float arithmetic.
 
 The rounding guard. Let u = 2^-53 and X = 2 max|x| + 2 at the start of the
 interval. The config enforces nsub <= 2^51 (a substep of at least 2^-51), so
@@ -99,6 +100,10 @@ from .rng import SEED_LIMIT, check_integer
 from .state import Constellation, RunSummary, Trace, run_loop, step_headings
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+# The largest chunk, in rows, of the accumulation that applies elided
+# substeps.
+_ACCUMULATE_ROWS = 4096
 
 
 @dataclass
@@ -272,13 +277,24 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
             k = _pair_repeats(i, j, p, h, steps, mover, rounds, delta, g, k)
             if not k:
                 break
-        moving = new[free]
-        d = move[free]
-        for _ in range(k):
-            moving += d
-        new[free] = moving
+        if k:
+            new[free] = _repeat_add(new[free], move[free], k)
         pos[:] = new
         left -= 1 + k
+
+
+def _repeat_add(x, d, k):
+    """x after k in-place additions `x += d`, the same float additions in the
+    same order: np.add.accumulate runs sequentially along its axis, over
+    chunks whose first row is x and whose other rows are d."""
+    rows = np.empty((min(k, _ACCUMULATE_ROWS - 1) + 1,) + x.shape)
+    rows[1:] = d
+    while k:
+        c = min(k, len(rows) - 1)
+        rows[0] = x
+        x = np.add.accumulate(rows[:c + 1], axis=0)[c]
+        k -= c
+    return x
 
 
 def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None,
@@ -288,9 +304,15 @@ def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None
     the module docstring. Pass `headings` to force the draw; otherwise they
     come from `rng`."""
     headings = step_headings(rng, state.n, headings)
+    return _interval(state, config, headings, np.cos(headings), np.sin(headings))
+
+
+def _interval(state: Constellation, config: ContinuousConfig, headings, hx, hy) -> Constellation:
+    """The interval of `continuous_interval` for given headings and their
+    cosines hx and sines hy; the run loop calls it with the rows of a
+    heading block."""
     pos = state.positions.copy()
-    _advance_interval(pos, np.cos(headings), np.sin(headings), config.delta, config.substep,
-                      config.nsub)
+    _advance_interval(pos, hx, hy, config.delta, config.substep, config.nsub)
     return Constellation(pos, headings, state.step_index + 1)
 
 
@@ -328,7 +350,7 @@ def run_continuous(config: ContinuousConfig, record_every: int = 1, collect_trac
         trace.series.append((k, radius, value, confined))
         return confined, radius
 
-    return run_loop("continuous", config, config.max_intervals, continuous_interval, observe,
+    return run_loop("continuous", config, config.max_intervals, _interval, observe,
                     record_every, collect_trace, initial)
 
 

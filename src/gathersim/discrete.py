@@ -44,22 +44,57 @@ def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headin
     to construct adversarial steps); otherwise they come from `rng`.
     """
     headings = step_headings(rng, state.n, headings)
-    hx = np.cos(headings)
-    hy = np.sin(headings)
-    free = ~blocked_agents(state.positions, hx, hy)
-    positions = state.positions.copy()
-    positions[free, 0] += hx[free]
-    positions[free, 1] += hy[free]
+    return _jump(state, config, headings, np.cos(headings), np.sin(headings))
+
+
+def _jump(state: Constellation, config: DiscreteConfig, headings, hx, hy) -> Constellation:
+    """The step of `discrete_step` for given headings and their cosines hx
+    and sines hy; the run loop calls it with the rows of a heading block.
+    When no agent is free the positions array is reused."""
+    free = (~blocked_agents(state.positions, hx, hy)).nonzero()[0]
+    positions = state.positions
+    if len(free):
+        positions = positions.copy()
+        positions[free, 0] += hx[free]
+        positions[free, 1] += hy[free]
     return Constellation(positions, headings, state.step_index + 1)
 
 
-def _bbox_halfwidth(positions: np.ndarray) -> float:
-    """Cheap lower bound on the enclosing-disc radius (half the larger
-    bounding-box side); lets the observer skip the exact disc while the
-    constellation is still far from converged."""
-    w = positions[:, 0].max() - positions[:, 0].min()
-    h = positions[:, 1].max() - positions[:, 1].min()
-    return max(w, h) / 2.0
+# The observer's skip. A jump stores each coordinate x of a free agent as
+# fl(x + c), with c a cosine or sine, so |c| <= 1. For |x| < 2^53, x is a
+# multiple of ulp(x) <= 1, so x - 1 and x + 1 are doubles too; rounding is
+# monotone, so fl(x + c) lies in [x - 1, x + 1] and the coordinate moves by
+# at most 1. In [2^53, 2^54) doubles are 2 apart: x + 1 lies half-way
+# between x and x + 2, so when c is exactly +-1 the tie goes to the even
+# neighbour and the coordinate can move by 2; from 2^54 on, x + c rounds
+# back to x. So a jump moves a coordinate by at most d = 2, and by at most
+# d = 1 while every coordinate stays below 2^53 in magnitude.
+#
+# Let s = fl(hi - lo) be the observer's side of the wider bounding-box axis,
+# w = s / 2 (exact) its half-width, and u = 2^-53. The exact side is at
+# least s (1 - u), and over t jumps hi falls and lo rises by at most t d
+# each. The observer's half-width stays above 1 while the exact side is at
+# least 2 + 2^-51, the double after 2 (rounding is monotone). For
+# 1 < w < 2^52, t = floor((w - 1) / d) - 1 is computed exactly (w - 1 is a
+# double and d a power of two) and has t d <= w - 1 - d, so half the exact
+# side stays at least w (1 - u) - t d >= 1 + d - w u > 1 + 1/2. With m the
+# largest |coordinate| at the check, m < 2^52 keeps every coordinate below
+# m + t < 2^53 over those jumps, where d = 1 holds; otherwise d = 2.
+_FAR_LIMIT = 2.0 ** 52
+
+
+def _far_steps(positions: np.ndarray) -> int:
+    """0 when the bounding box's half-width, a lower bound on the
+    enclosing-disc radius, is at most 1; otherwise the number of steps from
+    this one on over which it provably stays above 1 (the bound above)."""
+    (x_hi, y_hi), (x_lo, y_lo) = positions.max(axis=0).tolist(), positions.min(axis=0).tolist()
+    w = max(x_hi - x_lo, y_hi - y_lo) / 2.0
+    if w <= 1.0:
+        return 0
+    if w >= _FAR_LIMIT:
+        return 1
+    d = 1.0 if max(x_hi, y_hi, -x_lo, -y_lo) < _FAR_LIMIT else 2.0
+    return max(1, math.floor((w - 1.0) / d))
 
 
 def run_discrete(config: DiscreteConfig, record_every: int = 1, collect_trace: bool = True,
@@ -69,12 +104,22 @@ def run_discrete(config: DiscreteConfig, record_every: int = 1, collect_trace: b
     Pass `initial` to start from a prepared constellation instead of the
     seeded uniform placement; it takes no draws, so the generator of
     `config.seed` starts at its first draw either way.
+
+    The observer computes the exact disc only once the bounding box's
+    half-width is at most 1, and checks the box only as often as the
+    one-jump bound (`_far_steps`) requires.
     """
+    far = 0
+
     def observe(trace, state, k):
-        if _bbox_halfwidth(state.positions) > 1.0:
+        nonlocal far
+        if not far:
+            far = _far_steps(state.positions)
+        if far:
+            far -= 1
             return False, None
         radius = min_enclosing_disc(state.positions).radius
         return radius <= 1.0, radius
 
-    return run_loop("discrete", config, config.max_steps, discrete_step, observe,
+    return run_loop("discrete", config, config.max_steps, _jump, observe,
                     record_every, collect_trace, initial)

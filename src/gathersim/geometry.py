@@ -142,12 +142,19 @@ def blocked_agents(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.
     _WITNESS_DIRECTIONS) memory. Both paths evaluate the same floating-point
     expression on the pairs they test, so blocked is the same.
     """
-    if len(positions) > _DENSE_MAX_N:
+    n = len(positions)
+    if n > _DENSE_MAX_N:
         return _witness_blocked(positions, hx, hy)
-    dx = positions[None, :, 0] - positions[:, None, 0]
-    dy = positions[None, :, 1] - positions[:, None, 1]
-    back = hx[:, None] * dx + hy[:, None] * dy <= 0.0
-    np.fill_diagonal(back, False)
+    x = positions[:, 0]
+    y = positions[:, 1]
+    # hx_i * (x_j - x_i) + hy_i * (y_j - y_i), built in two (n, n) arrays
+    dot = np.subtract(x, x[:, None])
+    dot *= hx[:, None]
+    term = np.subtract(y, y[:, None])
+    term *= hy[:, None]
+    dot += term
+    back = dot <= 0.0
+    back.flat[::n + 1] = False
     return back.any(axis=1)
 
 

@@ -11,6 +11,11 @@ from .rng import check_integer, make_rng
 
 TWO_PI = 2.0 * math.pi
 
+# A run draws its headings in blocks of up to this many steps, and of at
+# most this many headings.
+_BLOCK_STEPS = 64
+_BLOCK_HEADINGS = 4096
+
 
 @dataclass
 class Constellation:
@@ -107,18 +112,24 @@ def init_constellation(config, rng: np.random.Generator) -> Constellation:
     return Constellation(positions, headings, step_index=0)
 
 
-def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
+def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
              collect_trace: bool = True, initial: Constellation | None = None):
-    """Drive one run of either model: observe the start, then apply `step`
+    """Drive one run of either model: observe the start, then apply `move`
     (one discrete jump or one unit interval) until the observer reports
     convergence or the state's step index reaches `cap`.
 
-    `step(state, config, rng)` returns the next Constellation, with rng =
-    make_rng(config.seed). The run starts from `initial` if given, else from
-    the seeded uniform placement; `initial` takes no draws, so the generator
-    then starts at the seed's first draw, and a non-finite position or a
-    heading outside [0, 2*pi) in it is a ValueError before the first
-    observation.
+    The loop is the one place that draws a run's headings, from rng =
+    make_rng(config.seed): the headings of up to _BLOCK_STEPS steps at once,
+    at most _BLOCK_HEADINGS of them (or one step's, for more agents than
+    that) and never past the cap, in one (rows, n) draw with its cosines and
+    sines. Row by row this consumes the generator as one draw of n headings
+    per step would, and the cosine and sine of a row equal those of the
+    block (tested). `move(state, config, headings, hx, hy)` returns the next
+    Constellation for one step's headings and their cosines and sines. The
+    run starts from `initial` if given, else from the seeded uniform
+    placement; `initial` takes no draws, so the generator then starts at the
+    seed's first draw, and a non-finite position or a heading outside
+    [0, 2*pi) in it is a ValueError before the first observation.
     `observe(trace, state, k)` returns (converged, radius); radius may be
     None, and if it is None at the last state the enclosing disc is computed
     once, after the loop, for the summary. With `collect_trace` the trace
@@ -137,6 +148,8 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
         raise ValueError("initial constellation has NaN or infinite positions, "
                          "or headings outside [0, 2*pi)")
     trace = Trace(model=model)
+    block_rows = max(1, min(_BLOCK_STEPS, _BLOCK_HEADINGS // state.n))
+    row = rows = 0
     prev_positions = state.positions
     k = 0
     while True:
@@ -147,8 +160,15 @@ def run_loop(model: str, config, cap: int, step, observe, record_every: int = 1,
             trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(), moved))
         if last:
             break
+        if row == rows:
+            rows = min(block_rows, cap - state.step_index)
+            headings = rng.uniform(0.0, TWO_PI, (rows, state.n))
+            hx = np.cos(headings)
+            hy = np.sin(headings)
+            row = 0
         prev_positions = state.positions
-        state = step(state, config, rng)
+        state = move(state, config, headings[row], hx[row], hy[row])
+        row += 1
         k = state.step_index
     if radius is None:
         radius = min_enclosing_disc(state.positions).radius

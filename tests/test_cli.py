@@ -232,3 +232,42 @@ def test_unwritable_output_exit_3(tmp_path):
             "--trace", str(tmp_path / "missing_dir" / "t.csv"),
             "--summary", str(tmp_path / "s.csv")]
     assert main(args) == 3
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("model", ["discrete", "continuous"])
+@pytest.mark.parametrize("output", ["--trace", "--summary"])
+def test_sim_checks_output_directories_before_the_run(model, output, tmp_path, monkeypatch,
+                                                      capsys):
+    # the run used to finish first and only then fail to open its outputs
+    monkeypatch.setattr(harness, "run_discrete", _no_run)
+    monkeypatch.setattr(harness, "run_continuous", _no_run)
+    paths = {"--trace": tmp_path / "t.csv", "--summary": tmp_path / "s.csv"}
+    paths[output] = tmp_path / "missing_dir" / "out.csv"
+    assert main(["sim", "--model", model, "--n", "3", "--seed", "0",
+                 "--trace", str(paths["--trace"]), "--summary", str(paths["--summary"])]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and str(paths[output]) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_checks_the_output_directory_before_any_cell(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_run_cell", _no_run)
+    out = tmp_path / "missing_dir" / "sw.csv"
+    assert main(["sweep", "--model", "discrete", "--n-list", "40,80", "--reps", "2",
+                 "--base-seed", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and str(out) in err
+
+
+def test_an_output_under_a_file_exits_3_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "run_discrete", _no_run)
+    (tmp_path / "file").write_text("")
+    summary = tmp_path / "file" / "s.csv"
+    assert main(["sim", "--model", "discrete", "--n", "3", "--seed", "0",
+                 "--trace", str(tmp_path / "t.csv"), "--summary", str(summary)]) == 3
+    assert str(summary) in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()

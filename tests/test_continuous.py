@@ -657,3 +657,31 @@ def test_capped_run_record_every_matches_full_cadence():
 def test_run_rejects_a_non_integral_record_every(bad):
     with pytest.raises(ValueError, match="record_every"):
         run_continuous(ContinuousConfig(n=3, spread=2.0, seed=1), record_every=bad)
+
+
+@pytest.mark.parametrize("k", [1, 4, 4094, 4095, 4096, 8190, 8191, 10_000])
+def test_repeated_additions_match_the_plain_loop(k):
+    # the elided substeps are accumulated in chunks of 4096 rows, the first
+    # holding the positions: k = 4095 fills one chunk, 4096 starts a second
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-100.0, 100.0, (3, 2))
+    d = rng.uniform(-1e-3, 1e-3, (3, 2))
+    plain = x.copy()
+    for _ in range(k):
+        plain += d
+    assert np.array_equal(continuous._repeat_add(x, d, k), plain)
+
+
+def test_run_matches_a_plain_interval_loop():
+    # one continuous_interval(state, cfg, rng) per interval, across the
+    # run's heading block of 64 intervals and the cap right after it
+    cfg = ContinuousConfig(n=5, spread=10.0, seed=0, max_intervals=65)
+    trace, summary = run_continuous(cfg)
+    rng = make_rng(cfg.seed)
+    state = init_constellation(cfg, rng)
+    assert summary.converged_step is None and len(trace.frames) == 66
+    for frame in trace.frames:
+        assert frame.step == state.step_index
+        assert np.array_equal(frame.positions, state.positions)
+        assert np.array_equal(frame.headings, state.headings)
+        state = continuous_interval(state, cfg, rng)

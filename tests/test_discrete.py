@@ -7,10 +7,10 @@ import pytest
 
 from gathersim import geometry
 from gathersim.continuous import ContinuousConfig, continuous_interval, run_continuous
-from gathersim.discrete import DiscreteConfig, discrete_step, run_discrete
+from gathersim.discrete import DiscreteConfig, _far_steps, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, min_enclosing_disc
 from gathersim.rng import make_rng
-from gathersim.state import Constellation, init_constellation
+from gathersim.state import _BLOCK_HEADINGS, _BLOCK_STEPS, Constellation, init_constellation
 
 
 def test_config_validation():
@@ -322,3 +322,105 @@ def test_trace_frame_zero_is_initial():
     ref = init_constellation(cfg, make_rng(cfg.seed))
     assert np.array_equal(trace.frames[0].positions, ref.positions)
     assert not trace.frames[0].moved.any()
+
+
+# ------------------------------------------------- reference loop
+
+
+def reference_run(cfg, record_every=1, initial=None):
+    """run_discrete as a plain loop: one discrete_step(state, cfg, rng) per
+    step, and the bounding box, then the disc, checked at every step.
+    Returns the frames as (step, positions, headings, moved) and the
+    summary's (converged_step, final_radius)."""
+    rng = make_rng(cfg.seed)
+    state = initial if initial is not None else init_constellation(cfg, rng)
+    frames = []
+    prev = state.positions
+    while True:
+        pos = state.positions
+        half = max(pos[:, 0].max() - pos[:, 0].min(), pos[:, 1].max() - pos[:, 1].min()) / 2.0
+        radius = None if half > 1.0 else min_enclosing_disc(pos).radius
+        converged = radius is not None and radius <= 1.0
+        last = converged or state.step_index >= cfg.max_steps
+        if last or state.step_index % record_every == 0:
+            frames.append((state.step_index, pos.copy(), state.headings.copy(),
+                           np.any(pos != prev, axis=1)))
+        if last:
+            break
+        prev = pos
+        state = discrete_step(state, cfg, rng)
+    if radius is None:
+        radius = min_enclosing_disc(state.positions).radius
+    return frames, (state.step_index if converged else None, radius)
+
+
+def assert_matches_reference(cfg, record_every, initial=None):
+    trace, summary = run_discrete(cfg, record_every=record_every, initial=initial)
+    frames, (converged_step, final_radius) = reference_run(cfg, record_every, initial)
+    assert (summary.converged_step, summary.final_radius) == (converged_step, final_radius)
+    assert len(trace.frames) == len(frames)
+    for got, (step, positions, headings, moved) in zip(trace.frames, frames):
+        assert got.step == step
+        assert np.array_equal(got.positions, positions)
+        assert np.array_equal(got.headings, headings)
+        assert np.array_equal(got.moved, moved)
+    return summary
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 10, 80, 81, 200])
+def test_run_matches_the_reference_loop(n, record_every):
+    # converged runs across many heading blocks, on both sensor paths
+    summary = assert_matches_reference(DiscreteConfig(n=n, spread=20.0, seed=n), record_every)
+    assert summary.converged_step is not None
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("cap", [63, 64, 65, 129])
+@pytest.mark.parametrize("n", [10, 81])
+def test_capped_run_matches_the_reference_loop(n, cap, record_every):
+    # caps on both sides of a block boundary: a block never runs past the cap
+    assert _BLOCK_STEPS == 64 and _BLOCK_HEADINGS // n >= 50
+    summary = assert_matches_reference(DiscreteConfig(n=n, spread=50.0, seed=4, max_steps=cap),
+                                       record_every)
+    assert summary.converged_step is None
+
+
+@pytest.mark.parametrize("offset", [2.0 ** 52 - 40, 2.0 ** 53 - 20])
+def test_run_near_2_pow_53_matches_the_reference_loop(offset):
+    # coordinates cross 2^53, where a jump can move one by 2
+    cfg = DiscreteConfig(n=10, spread=40.0, seed=3, max_steps=129)
+    initial = init_constellation(cfg, make_rng(99))
+    initial.positions += offset
+    assert_matches_reference(cfg, 1, initial)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0 ** 52 - 40, 2.0 ** 53 - 20])
+@pytest.mark.parametrize("side", [41.0, 40.5, 4.0, 3.0])
+def test_far_steps_hold_when_the_box_shrinks_fastest(offset, side):
+    # two agents facing each other along x, with cosines exactly +-1, close
+    # the box by the most a jump allows (1 each, and 2 on a jump where x + 1
+    # ties to even); every promised step must still have a half-width above 1
+    pos = np.array([[offset, 0.0], [offset + side, 0.0]])
+    cfg = DiscreteConfig(n=2)
+    headings = np.array([0.0, math.pi])
+    assert (np.cos(headings) == [1.0, -1.0]).all()
+    state = Constellation(pos, np.zeros(2))
+    far = _far_steps(state.positions)
+    assert far >= 1
+    for _ in range(far):
+        x = state.positions[:, 0]
+        assert (x.max() - x.min()) / 2.0 > 1.0
+        state = discrete_step(state, cfg, headings=headings)
+
+
+def test_heading_block_cosines_equal_each_rows():
+    # the premise of drawing a run's headings in blocks: the cosine and sine
+    # of a block equal those of each row on its own
+    for n in list(range(1, 100)) + [640, 2560]:
+        rows = max(1, min(_BLOCK_STEPS, _BLOCK_HEADINGS // n))
+        block = make_rng(n).uniform(0.0, 2 * math.pi, (rows, n))
+        cos, sin = np.cos(block), np.sin(block)
+        for r in range(rows):
+            assert np.array_equal(cos[r], np.cos(block[r])), (n, r)
+            assert np.array_equal(sin[r], np.sin(block[r])), (n, r)
