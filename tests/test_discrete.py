@@ -379,8 +379,10 @@ def test_run_matches_the_reference_loop(n, record_every):
 @pytest.mark.parametrize("cap", [63, 64, 65, 129])
 @pytest.mark.parametrize("n", [10, 81])
 def test_capped_run_matches_the_reference_loop(n, cap, record_every):
-    # caps on both sides of a block boundary: a block never runs past the cap
-    assert _BLOCK_STEPS == 64 and _BLOCK_HEADINGS // n >= 50
+    # n = 10 draws blocks of 64 steps and n = 81 blocks of 50 (4096
+    # headings); the caps fall on both sides of a block boundary, and a block
+    # never runs past the cap
+    assert min(_BLOCK_STEPS, _BLOCK_HEADINGS // n) == {10: 64, 81: 50}[n]
     summary = assert_matches_reference(DiscreteConfig(n=n, spread=50.0, seed=4, max_steps=cap),
                                        record_every)
     assert summary.converged_step is None
