@@ -85,8 +85,9 @@ The integrator, `_advance_interval`, is vectorized over agents with numpy;
 it senses each sensed substep with one `geometry.blind_zone_sensor` call,
 reads the same pair terms (`geometry._pair_terms`) at the trial positions
 of its hold rounds, only moves positions, and leaves the moved flags to the
-run loop, which derives them from the position change. The Lyapunov
-observable is recorded once per interval in `Trace.series`.
+run loop, which derives them from the position change. A traced run
+records the Lyapunov observable once per interval in `Trace.series`; an
+untraced run computes only the enclosing disc its convergence test needs.
 """
 
 import math
@@ -125,7 +126,7 @@ class ContinuousConfig:
         if not 2.0 ** -51 <= self.substep <= 1.0:
             # below it nsub exceeds 2^51, past the integrator's rounding guard
             raise ValueError(f"substep must lie in [2**-51, 1], got {self.substep!r}")
-        if self.nsub < 1 or abs(self.nsub * self.substep - 1.0) > 1e-9:
+        if abs(self.nsub * self.substep - 1.0) > 1e-9:
             raise ValueError("substep must divide the unit interval exactly")
 
     @property
@@ -316,12 +317,17 @@ def _interval(state: Constellation, config: ContinuousConfig, headings, hx, hy) 
     return Constellation(pos, headings, state.step_index + 1)
 
 
+def _squared_distances(positions: np.ndarray) -> np.ndarray:
+    """(n, n) squared pairwise Euclidean distances."""
+    diff = positions[None, :, :] - positions[:, None, :]
+    return diff[..., 0] ** 2 + diff[..., 1] ** 2
+
+
 def _lyapunov(positions: np.ndarray, delta: float, radius: float) -> LyapunovState:
     """The observable of `lyapunov_value`, given the enclosing-disc radius."""
     if radius < delta:
         return LyapunovState(0.0, True)
-    diff = positions[None, :, :] - positions[:, None, :]
-    dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    dist2 = _squared_distances(positions)
     # the sensor's test, so a pair the integrator keeps within delta is never counted
     return LyapunovState(float(np.sqrt(dist2[dist2 > delta * delta]).sum()), False)
 
@@ -343,9 +349,13 @@ def run_continuous(config: ContinuousConfig, record_every: int = 1, collect_trac
     max_intervals is reached. Pass `initial` to start from a prepared
     constellation instead of the seeded uniform placement; it takes no
     draws, so the generator of `config.seed` starts at its first draw either
-    way."""
+    way. With `collect_trace` the trace's series holds every interval's
+    radius and Lyapunov value; without it the run records nothing its
+    summary does not carry, and the series stays empty."""
     def observe(trace, state, k):
         radius = min_enclosing_disc(state.positions).radius
+        if not collect_trace:
+            return radius < config.delta, radius
         value, confined = _lyapunov(state.positions, config.delta, radius)
         trace.series.append((k, radius, value, confined))
         return confined, radius
@@ -356,8 +366,7 @@ def run_continuous(config: ContinuousConfig, record_every: int = 1, collect_trac
 
 def _distances(positions: np.ndarray) -> np.ndarray:
     """(n, n) pairwise Euclidean distances."""
-    diff = positions[None, :, :] - positions[:, None, :]
-    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    return np.sqrt(_squared_distances(positions))
 
 
 def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tuple]:

@@ -1,11 +1,6 @@
-"""Monte-Carlo experiment orchestration: seeded sweeps over agent counts and
+"""Monte-Carlo experiment orchestration: seeded sweeps over agent counts,
+the pooled map that runs them and any other ensemble (`run_many`), and
 least-squares trend fitting of their convergence steps.
-
-A sweep runs its cells in forked worker processes, one per usable CPU (the
-process's affinity mask) up to one per cell; with one usable CPU, or no
-`fork` start method, it runs them in process. Each cell is seeded by
-derive_seed(base_seed, n, rep) and placed by (n, rep), so the summaries are
-the same for every worker count.
 """
 
 import os
@@ -40,8 +35,8 @@ class SweepConfig:
         self.reps = check_integer("reps", self.reps, 1)
         self.base_seed = check_integer("base_seed", self.base_seed, 0, SEED_LIMIT)
         # the model and run options are checked here, by model_run and the
-        # model config, rather than by the first cell to run, which may be in
-        # a worker process
+        # model config, so an invalid sweep fails where it is built, before
+        # the caller opens an output or starts a run
         model_run(self.model, min(self.n_values), self.base_seed, self.spread, self.delta,
                   self.substep, self.max_steps)
 
@@ -76,16 +71,14 @@ def model_run(model: str, n: int, seed: int, spread: float | None = None,
     raise ValueError(f"unknown model {model!r}")
 
 
-def _run_cell(config: SweepConfig, n: int, rep: int) -> RunSummary:
-    """The summary of sweep cell (n, rep), run untraced."""
-    cell, run = model_run(config.model, n, derive_seed(config.base_seed, n, rep), config.spread,
-                          config.delta, config.substep, config.max_steps)
-    return run(cell, collect_trace=False)[1]
+def _run_untraced(config, run) -> RunSummary:
+    """The summary of one run, untraced."""
+    return run(config, collect_trace=False)[1]
 
 
-def _sweep_jobs(cells: int) -> int:
-    """Worker processes for a sweep of `cells` cells: the usable CPUs (the
-    affinity mask where the platform has one), at most one per cell, and 1
+def _ensemble_jobs(runs: int) -> int:
+    """Worker processes for an ensemble of `runs` runs: the usable CPUs (the
+    affinity mask where the platform has one), at most one per run, and 1
     where processes cannot be forked."""
     import multiprocessing
 
@@ -95,7 +88,33 @@ def _sweep_jobs(cells: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cells, cpus)
+    return min(runs, cpus)
+
+
+def run_many(runs: Sequence[tuple]) -> list[RunSummary]:
+    """The summaries of untraced runs of (config, run function) pairs, as
+    `model_run` returns them, in input order.
+
+    The runs go to a pool of forked workers, one per usable CPU (the
+    process's affinity mask) up to one per run, largest n first (later runs
+    first among equal n); with one usable CPU, or no `fork` start method,
+    they run in this process. A config holds its run's seed, so the
+    summaries are the same for every worker count. A run's exception
+    reaches the caller, and no worker outlives the call.
+    """
+    jobs = _ensemble_jobs(len(runs))
+    if jobs == 1:
+        return [_run_untraced(config, run) for config, run in runs]
+    import multiprocessing
+
+    order = sorted(range(len(runs)), key=lambda i: (runs[i][0].n, i), reverse=True)
+    # fork, not spawn: a spawned worker re-imports numpy and gathersim,
+    # which takes about as long as a small sweep. The pool forks its workers
+    # before it starts its helper threads. Leaving the block terminates and
+    # joins the workers, on success and on a run's exception alike.
+    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        done = pool.starmap(_run_untraced, [runs[i] for i in order], chunksize=1)
+    return [summary for _, summary in sorted(zip(order, done))]
 
 
 def run_sweep(config: SweepConfig) -> list[RunSummary]:
@@ -103,26 +122,13 @@ def run_sweep(config: SweepConfig) -> list[RunSummary]:
 
     Summaries come back sorted by (n ascending, rep ascending) with run_id
     numbering that order, so the output is independent of execution order
-    and of the worker count, and byte-stable for a fixed config. The cells
-    run in a pool of forked workers, one per usable CPU up to one per cell,
-    largest n first; with one worker they run in this process. A cell's
-    exception reaches the caller, and no worker outlives the call.
+    and of the worker count (`run_many`), and byte-stable for a fixed config.
     """
     cells = [(n, rep) for n in sorted(config.n_values) for rep in range(config.reps)]
-    jobs = _sweep_jobs(len(cells))
-    if jobs == 1:
-        summaries = [_run_cell(config, n, rep) for n, rep in cells]
-    else:
-        import multiprocessing
-
-        # fork, not spawn: a spawned worker re-imports numpy and gathersim,
-        # which takes about as long as a small sweep. The pool forks its
-        # workers before it starts its helper threads. Leaving the block
-        # terminates and joins the workers, on success and on a cell's
-        # exception alike.
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            heaviest_first = [(config, n, rep) for n, rep in reversed(cells)]
-            summaries = pool.starmap(_run_cell, heaviest_first, chunksize=1)[::-1]
+    summaries = run_many([model_run(config.model, n, derive_seed(config.base_seed, n, rep),
+                                    config.spread, config.delta, config.substep,
+                                    config.max_steps)
+                          for n, rep in cells])
     for run_id, summary in enumerate(summaries):
         summary.run_id = run_id
     return summaries

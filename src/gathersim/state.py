@@ -57,9 +57,9 @@ class Frame:
 @dataclass
 class Trace:
     """Time-indexed run record. frames follow the recording cadence (every
-    record_every-th step plus the final one); series (continuous runs) has
-    one entry per unit interval regardless: (interval, enclosing radius,
-    lyapunov value, confined)."""
+    record_every-th step plus the final one); series (traced continuous
+    runs) has one entry per unit interval regardless: (interval, enclosing
+    radius, lyapunov value, confined). An untraced run leaves both empty."""
 
     model: str
     frames: list[Frame] = field(default_factory=list)
@@ -116,7 +116,9 @@ def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
              collect_trace: bool = True, initial: Constellation | None = None):
     """Drive one run of either model: observe the start, then apply `move`
     (one discrete jump or one unit interval) until the observer reports
-    convergence or the state's step index reaches `cap`.
+    convergence or `cap` steps have run. The loop counts the run's steps
+    from 0 itself, for frame numbers, the cap and the convergence step,
+    whatever the step index of the start.
 
     The loop is the one place that draws a run's headings, from rng =
     make_rng(config.seed): the headings of up to _BLOCK_STEPS steps at once,
@@ -154,14 +156,14 @@ def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
     k = 0
     while True:
         converged, radius = observe(trace, state, k)
-        last = converged or state.step_index >= cap
+        last = converged or k >= cap
         if collect_trace and (last or k % record_every == 0):
             moved = np.any(state.positions != prev_positions, axis=1)
             trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(), moved))
         if last:
             break
         if row == rows:
-            rows = min(block_rows, cap - state.step_index)
+            rows = min(block_rows, cap - k)
             headings = rng.uniform(0.0, TWO_PI, (rows, state.n))
             hx = np.cos(headings)
             hy = np.sin(headings)
@@ -169,7 +171,7 @@ def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
         prev_positions = state.positions
         state = move(state, config, headings[row], hx[row], hy[row])
         row += 1
-        k = state.step_index
+        k += 1
     if radius is None:
         radius = min_enclosing_disc(state.positions).radius
     summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,

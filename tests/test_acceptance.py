@@ -20,7 +20,7 @@ from gathersim.continuous import (
 )
 from gathersim.discrete import DiscreteConfig, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, corner_angles, min_enclosing_disc
-from gathersim.harness import SweepConfig, fit_sweep, run_sweep
+from gathersim.harness import SweepConfig, fit_sweep, run_many, run_sweep
 from gathersim.rng import make_rng
 from gathersim.state import Constellation, init_constellation
 
@@ -40,15 +40,11 @@ def report(criterion: str, ok: bool, detail: str):
 
 def test_criterion_1_radius_one_gathering():
     t0 = time.perf_counter()
-    rates = {}
-    for n in (20, 40):
-        converged = 0
-        for seed in range(20):
-            cfg = DiscreteConfig(n=n, spread=50.0, seed=seed, max_steps=10_000)
-            _, summary = run_discrete(cfg, collect_trace=False)
-            if summary.converged_step is not None:
-                converged += 1
-        rates[n] = converged / 20.0
+    runs = [(DiscreteConfig(n=n, spread=50.0, seed=seed, max_steps=10_000), run_discrete)
+            for n in (20, 40) for seed in range(20)]
+    summaries = run_many(runs)
+    rates = {n: sum(s.converged_step is not None for s in summaries if s.n == n) / 20.0
+             for n in (20, 40)}
     elapsed = time.perf_counter() - t0
     ok = all(rate >= 0.95 for rate in rates.values()) and elapsed < 60.0
     report("criterion 1 (radius-1 gathering)", ok,
@@ -81,28 +77,30 @@ def test_criterion_2_linear_trend():
 
 def test_criterion_3_continuous_within_bound():
     delta = 0.1
-    details = []
+    n_values = (2, 5, 10)
+    runs = [(ContinuousConfig(n=n, delta=delta, spread=5.0, seed=seed, max_intervals=100_000),
+             run_continuous)
+            for n in n_values for seed in range(50)]
+    summaries = run_many(runs)
     ok = True
-    for n in (2, 5, 10):
-        steps = []
-        bounds = []
-        for seed in range(50):
-            cfg = ContinuousConfig(n=n, delta=delta, spread=5.0, seed=seed,
-                                   max_intervals=100_000)
-            # the run's own start, rebuilt only for its initial diameter
-            initial = init_constellation(cfg, make_rng(cfg.seed))
-            diff = initial.positions[None] - initial.positions[:, None]
-            d_max0 = float(np.sqrt((diff ** 2).sum(-1)).max())
-            bound = expected_time_bound(n, delta, d_max0)
-            _, summary = run_continuous(cfg, collect_trace=False)
-            confined_in_bound = (summary.converged_step is not None
-                                 and summary.converged_step <= bound)
-            ok = ok and confined_in_bound
-            steps.append(summary.converged_step if summary.converged_step is not None
-                         else math.inf)
-            bounds.append(bound)
-        mean_steps = float(np.mean(steps))
-        mean_bound = float(np.mean(bounds))
+    steps = {n: [] for n in n_values}
+    bounds = {n: [] for n in n_values}
+    for (cfg, _), summary in zip(runs, summaries):
+        # the run's own start, rebuilt only for its initial diameter
+        initial = init_constellation(cfg, make_rng(cfg.seed))
+        diff = initial.positions[None] - initial.positions[:, None]
+        d_max0 = float(np.sqrt((diff ** 2).sum(-1)).max())
+        bound = expected_time_bound(cfg.n, delta, d_max0)
+        confined_in_bound = (summary.converged_step is not None
+                             and summary.converged_step <= bound)
+        ok = ok and confined_in_bound
+        steps[cfg.n].append(summary.converged_step if summary.converged_step is not None
+                            else math.inf)
+        bounds[cfg.n].append(bound)
+    details = []
+    for n in n_values:
+        mean_steps = float(np.mean(steps[n]))
+        mean_bound = float(np.mean(bounds[n]))
         ok = ok and mean_steps < 0.05 * mean_bound
         details.append(f"n={n}: mean {mean_steps:.1f} vs bound {mean_bound:.0f} "
                        f"({100 * mean_steps / mean_bound:.3f}%)")

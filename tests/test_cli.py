@@ -7,7 +7,7 @@ import pytest
 
 from gathersim import harness
 from gathersim.cli import main
-from test_harness import assert_no_child_process, fail_cell_at_n10
+from test_harness import assert_no_child_process, fail_at_n10, use_jobs
 
 
 def read_bytes(path):
@@ -119,7 +119,7 @@ def test_sweep_outputs_and_determinism(tmp_path):
 def test_sweep_bytes_do_not_depend_on_the_worker_count(flags, tmp_path, monkeypatch):
     outputs = {}
     for jobs in (1, 2):
-        monkeypatch.setattr(harness, "_sweep_jobs", lambda cells, jobs=jobs: jobs)
+        use_jobs(monkeypatch, jobs)
         out = tmp_path / f"jobs{jobs}.csv"
         assert main(["sweep", *flags, "--base-seed", "23", "--out", str(out)]) == 0
         outputs[jobs] = (read_bytes(out), read_bytes(tmp_path / f"jobs{jobs}.fit.json"))
@@ -159,8 +159,8 @@ def test_malformed_n_list_exits_2(n_list, message, tmp_path, capsys):
 
 
 def test_sweep_cell_error_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 2)
-    monkeypatch.setattr(harness, "_run_cell", fail_cell_at_n10)
+    use_jobs(monkeypatch, 2)
+    monkeypatch.setattr(harness, "run_discrete", fail_at_n10)
     out = tmp_path / "sw.csv"
     assert main(["sweep", "--model", "discrete", "--n-list", "5,10", "--reps", "2",
                  "--base-seed", "1", "--steps", "500", "--out", str(out)]) == 2
@@ -255,7 +255,7 @@ def test_sim_checks_output_directories_before_the_run(model, output, tmp_path, m
 
 
 def test_sweep_checks_the_output_directory_before_any_cell(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(harness, "_run_cell", _no_run)
+    monkeypatch.setattr(harness, "run_discrete", _no_run)
     out = tmp_path / "missing_dir" / "sw.csv"
     assert main(["sweep", "--model", "discrete", "--n-list", "40,80", "--reps", "2",
                  "--base-seed", "1", "--out", str(out)]) == 3

@@ -628,6 +628,17 @@ def test_series_matches_public_lyapunov_value():
         assert (value, confined) == tuple(lyapunov_value(frame.positions, cfg.delta))
 
 
+@pytest.mark.parametrize("cap", [3000, 5])
+def test_untraced_run_records_only_its_summary(cap):
+    # the untraced observer tests the disc alone: no Lyapunov sum, no series
+    cfg = ContinuousConfig(n=5, delta=0.1, spread=2.0, seed=4, max_intervals=cap)
+    trace, summary = run_continuous(cfg, collect_trace=False)
+    _, traced_summary = run_continuous(cfg)
+    assert summary == traced_summary
+    assert (summary.converged_step is None) == (cap == 5)
+    assert trace.series == [] and trace.frames == []
+
+
 def test_run_deterministic():
     cfg = ContinuousConfig(n=6, delta=0.1, spread=4.0, seed=31, max_intervals=3000)
     t1, s1 = run_continuous(cfg)

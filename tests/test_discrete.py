@@ -236,6 +236,35 @@ def test_run_rejects_an_initial_of_another_size(run, cfg):
         run(cfg, initial=initial)
 
 
+@pytest.mark.parametrize("step,cfg", [
+    (discrete_step, DiscreteConfig(n=5, spread=5.0, seed=1, max_steps=20)),
+    (discrete_step, DiscreteConfig(n=5, spread=5.0, seed=1, max_steps=3)),
+    (continuous_interval, ContinuousConfig(n=3, spread=2.0, seed=1, max_intervals=100)),
+    (continuous_interval, ContinuousConfig(n=3, spread=2.0, seed=1, max_intervals=2)),
+], ids=["discrete", "discrete-capped", "continuous", "continuous-capped"])
+def test_run_counts_its_steps_from_0_whatever_the_initial_step_index(step, cfg):
+    # a start at step index 1 used to skip frame 1, report one step too many
+    # and stop one step short of the cap
+    run, cap = ((run_discrete, cfg.max_steps) if step is discrete_step
+                else (run_continuous, cfg.max_intervals))
+    rng = make_rng(cfg.seed)
+    start = step(init_constellation(cfg, rng), cfg, rng)
+    assert start.step_index == 1
+    trace, summary = run(cfg, initial=start)
+    ref_trace, ref_summary = run(cfg, initial=Constellation(start.positions, start.headings))
+    assert summary == ref_summary
+    assert trace.series == ref_trace.series
+    assert [f.step for f in trace.frames] == list(range(len(ref_trace.frames)))
+    for frame, ref in zip(trace.frames, ref_trace.frames):
+        assert np.array_equal(frame.positions, ref.positions)
+        assert np.array_equal(frame.headings, ref.headings)
+        assert np.array_equal(frame.moved, ref.moved)
+    if summary.converged_step is None:
+        assert len(trace.frames) == cap + 1
+    else:
+        assert summary.converged_step == len(trace.frames) - 1 <= cap
+
+
 def test_run_deterministic_trace():
     cfg = DiscreteConfig(n=15, seed=17)
     t1, s1 = run_discrete(cfg)

@@ -13,6 +13,8 @@ from gathersim.harness import (
     SweepConfig,
     fit_sweep,
     least_squares_fit,
+    model_run,
+    run_many,
     run_sweep,
 )
 from gathersim.rng import derive_seed, make_rng
@@ -149,7 +151,7 @@ def test_model_run_keeps_each_config_default():
     ("discrete", "max_steps", 0),
 ])
 def test_sweep_config_rejects_bad_run_options(model, option, bad):
-    # rejected at construction, before any cell runs in a worker
+    # rejected at construction, before any cell runs
     with pytest.raises(ValueError, match=option):
         SweepConfig(model=model, n_values=[2, 3], reps=1, base_seed=0, **{option: bad})
 
@@ -171,9 +173,6 @@ def test_sweep_config_accepts_numpy_integers():
     assert [s.n for s in run_sweep(cfg)] == [2, 3]
 
 
-_real_run_cell = harness._run_cell
-
-
 def assert_no_child_process():
     """No child of this process is left, running or unreaped; checked before
     `active_children()`, which would reap exited workers itself."""
@@ -182,12 +181,17 @@ def assert_no_child_process():
     assert multiprocessing.active_children() == []
 
 
-def fail_cell_at_n10(config, n, rep):
-    """`_run_cell` whose cells at n = 10 raise; module level, so a pool can
-    send it to its workers."""
-    if n == 10:
-        raise ValueError(f"cell ({n}, {rep}) failed")
-    return _real_run_cell(config, n, rep)
+def fail_at_n10(config, **options):
+    """`run_discrete`, except that its runs at n = 10 raise; module level, so
+    a pool can send it to its workers."""
+    if config.n == 10:
+        raise ValueError(f"run (n={config.n}, seed={config.seed}) failed")
+    return run_discrete(config, **options)
+
+
+def use_jobs(monkeypatch, jobs):
+    """Size every ensemble to `jobs` workers, whatever the usable CPUs."""
+    monkeypatch.setattr(harness, "_ensemble_jobs", lambda runs: jobs)
 
 
 PARALLEL_SWEEPS = [
@@ -197,57 +201,82 @@ PARALLEL_SWEEPS = [
                 max_steps=2000),
 ]
 
+# discrete and continuous runs interleaved, n neither sorted nor unique
+MIXED_RUNS = [
+    model_run("discrete", 20, 3, steps=3000),
+    model_run("continuous", 3, 8, spread=2.0, steps=2000),
+    model_run("discrete", 5, 4, steps=3000),
+    model_run("continuous", 2, 1, spread=2.0, steps=2000),
+    model_run("discrete", 20, 9, steps=3000),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_many_returns_each_runs_summary_in_input_order(jobs, monkeypatch):
+    expected = [run(config, collect_trace=False)[1] for config, run in MIXED_RUNS]
+    use_jobs(monkeypatch, jobs)
+    assert run_many(MIXED_RUNS) == expected
+    assert_no_child_process()
+
 
 @pytest.mark.parametrize("cfg", PARALLEL_SWEEPS, ids=lambda c: c.model)
 def test_sweep_summaries_do_not_depend_on_the_worker_count(cfg, monkeypatch):
     runs = {}
     for jobs in (1, 2):
-        monkeypatch.setattr(harness, "_sweep_jobs", lambda cells, jobs=jobs: jobs)
+        use_jobs(monkeypatch, jobs)
         runs[jobs] = run_sweep(cfg)
         assert_no_child_process()
     assert runs[1] == runs[2]
     assert [s.run_id for s in runs[2]] == list(range(len(runs[2])))
 
 
-def test_sweep_cell_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
-    monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 2)
-    monkeypatch.setattr(harness, "_run_cell", fail_cell_at_n10)
+def test_run_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
+    use_jobs(monkeypatch, 2)
+    runs = [(DiscreteConfig(n=n, seed=seed, max_steps=500), fail_at_n10)
+            for n in (5, 10, 20) for seed in (0, 1)]
+    with pytest.raises(ValueError, match=r"run \(n=10, seed=\d\) failed"):
+        run_many(runs)
+    assert_no_child_process()
+    # a sweep's run function comes from model_run, and its error reaches the
+    # sweep's caller the same way
+    monkeypatch.setattr(harness, "run_discrete", fail_at_n10)
     cfg = SweepConfig(model="discrete", n_values=[5, 10, 20], reps=2, base_seed=3,
                       max_steps=500)
-    with pytest.raises(ValueError, match=r"cell \(10, \d\) failed"):
+    with pytest.raises(ValueError, match=r"run \(n=10, seed=\d+\) failed"):
         run_sweep(cfg)
     assert_no_child_process()
 
 
-def test_sweep_with_one_worker_starts_no_pool(monkeypatch):
+def test_run_many_with_one_worker_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker sweep started a pool")
+        raise AssertionError("a one-worker ensemble started a pool")
 
-    monkeypatch.setattr(harness, "_sweep_jobs", lambda cells: 1)
+    use_jobs(monkeypatch, 1)
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert [s.n for s in run_many(MIXED_RUNS)] == [20, 3, 5, 2, 20]
     cfg = SweepConfig(model="discrete", n_values=[2, 3], reps=2, base_seed=5, max_steps=50)
     assert [s.n for s in run_sweep(cfg)] == [2, 2, 3, 3]
 
 
-def test_sweep_jobs_is_bounded_by_the_cells_and_the_usable_cpus(monkeypatch):
+def test_ensemble_jobs_is_bounded_by_the_runs_and_the_usable_cpus(monkeypatch):
     # only the helper runs here: no pool is started at these counts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4096)), raising=False)
-    assert harness._sweep_jobs(1) == 1
-    assert harness._sweep_jobs(160) == 160
-    assert harness._sweep_jobs(10 ** 6) == 4096
+    assert harness._ensemble_jobs(1) == 1
+    assert harness._ensemble_jobs(160) == 160
+    assert harness._ensemble_jobs(10 ** 6) == 4096
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert harness._sweep_jobs(160) == 1
+    assert harness._ensemble_jobs(160) == 1
     # without an affinity mask the CPU count bounds it, and an unknown count is 1
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert harness._sweep_jobs(2) == 2
-    assert harness._sweep_jobs(160) == 3
+    assert harness._ensemble_jobs(2) == 2
+    assert harness._ensemble_jobs(160) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert harness._sweep_jobs(160) == 1
-    # a platform without fork runs the cells in process
+    assert harness._ensemble_jobs(160) == 1
+    # a platform without fork runs the ensemble in process
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert harness._sweep_jobs(160) == 1
+    assert harness._ensemble_jobs(160) == 1
 
 
 def test_fit_sweep_excludes_nonconverged():
