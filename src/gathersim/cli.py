@@ -99,7 +99,7 @@ def _cmd_sim(args) -> int:
     _check_output_dirs(args.trace, args.summary)
     trace, summary = run(config, record_every=args.record_every)
     write_trace_csv(trace, args.trace)
-    if trace.model == "continuous":
+    if args.model == "continuous":
         write_series_csv(trace, series_path_for(args.trace))
     write_summaries_csv([summary], args.summary)
     return 0

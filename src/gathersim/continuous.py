@@ -27,9 +27,9 @@ qualifies, which only rounding can cause, both are held. The move is then
 tried again with the remaining free agents; each round holds at least one
 more agent, so a substep takes at most n rounds. The sensor stays strict
 (an agent at exactly distance delta is invisible), and the sensor, this
-guard and the separated-distance sum all decide "beyond delta" by the same
-floating-point test, dx*dx + dy*dy > delta*delta on the difference of the
-two positions.
+guard, the separated-distance sum and the invariant checkers all decide
+"beyond delta" by the same floating-point test, dx*dx + dy*dy > delta*delta
+on the difference of the two positions.
 
 A substep in which no agent moves leaves the constellation unchanged, so
 every later substep of the interval would repeat it; the integrator stops
@@ -305,31 +305,35 @@ def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None
     the module docstring. Pass `headings` to force the draw; otherwise they
     come from `rng`."""
     headings = step_headings(rng, state.n, headings)
-    return _interval(state, config, headings, np.cos(headings), np.sin(headings))
+    return Constellation(_interval(state.positions, config, np.cos(headings), np.sin(headings)),
+                         headings)
 
 
-def _interval(state: Constellation, config: ContinuousConfig, headings, hx, hy) -> Constellation:
-    """The interval of `continuous_interval` for given headings and their
-    cosines hx and sines hy; the run loop calls it with the rows of a
-    heading block."""
-    pos = state.positions.copy()
+def _interval(positions: np.ndarray, config: ContinuousConfig, hx, hy) -> np.ndarray:
+    """The positions after the interval of `continuous_interval` for
+    headings with cosines hx and sines hy, in a new array; the run loop
+    calls it with the rows of a heading block."""
+    pos = positions.copy()
     _advance_interval(pos, hx, hy, config.delta, config.substep, config.nsub)
-    return Constellation(pos, headings, state.step_index + 1)
+    return pos
 
 
-def _squared_distances(positions: np.ndarray) -> np.ndarray:
-    """(n, n) squared pairwise Euclidean distances."""
+def _separation(positions: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n) pairwise Euclidean distances, and which pairs lie beyond delta
+    by the sensor's test on their squared distances. A distance can round
+    to delta, or below it, while its square exceeds delta*delta."""
     diff = positions[None, :, :] - positions[:, None, :]
-    return diff[..., 0] ** 2 + diff[..., 1] ** 2
+    dist2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    return np.sqrt(dist2), dist2 > delta * delta
 
 
 def _lyapunov(positions: np.ndarray, delta: float, radius: float) -> LyapunovState:
     """The observable of `lyapunov_value`, given the enclosing-disc radius."""
     if radius < delta:
         return LyapunovState(0.0, True)
-    dist2 = _squared_distances(positions)
     # the sensor's test, so a pair the integrator keeps within delta is never counted
-    return LyapunovState(float(np.sqrt(dist2[dist2 > delta * delta]).sum()), False)
+    dist, beyond = _separation(positions, delta)
+    return LyapunovState(float(dist[beyond].sum()), False)
 
 
 def lyapunov_value(positions, delta: float) -> LyapunovState:
@@ -342,40 +346,37 @@ def lyapunov_value(positions, delta: float) -> LyapunovState:
     return _lyapunov(pts, delta, min_enclosing_disc(pts).radius)
 
 
-def run_continuous(config: ContinuousConfig, record_every: int = 1, collect_trace: bool = True,
+def run_continuous(config: ContinuousConfig, record_every: int | None = 1,
                    initial: Constellation | None = None) -> tuple[Trace, RunSummary]:
     """Iterate unit intervals until the constellation is confined (enclosing
     radius strictly below delta, checked at interval boundaries) or
     max_intervals is reached. Pass `initial` to start from a prepared
     constellation instead of the seeded uniform placement; it takes no
     draws, so the generator of `config.seed` starts at its first draw either
-    way. With `collect_trace` the trace's series holds every interval's
-    radius and Lyapunov value; without it the run records nothing its
-    summary does not carry, and the series stays empty."""
-    def observe(trace, state, k):
-        radius = min_enclosing_disc(state.positions).radius
-        if not collect_trace:
+    way. The trace holds every record_every-th frame and the final one, and
+    its series every interval's radius and Lyapunov value; with
+    record_every=None the run records nothing its summary does not carry,
+    computes no Lyapunov sum, and frames and series stay empty."""
+    def observe(trace, positions, k):
+        radius = min_enclosing_disc(positions).radius
+        if record_every is None:
             return radius < config.delta, radius
-        value, confined = _lyapunov(state.positions, config.delta, radius)
+        value, confined = _lyapunov(positions, config.delta, radius)
         trace.series.append((k, radius, value, confined))
         return confined, radius
 
-    return run_loop("continuous", config, config.max_intervals, _interval, observe,
-                    record_every, collect_trace, initial)
-
-
-def _distances(positions: np.ndarray) -> np.ndarray:
-    """(n, n) pairwise Euclidean distances."""
-    return np.sqrt(_squared_distances(positions))
+    return run_loop(config, config.max_intervals, _interval, observe, record_every, initial)
 
 
 def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tuple]:
     """Scan a full-cadence trace for violations of the two distance bands.
 
-    Separated pairs (distance > delta at an interval boundary) may not gain
+    Separated pairs (beyond delta at an interval boundary) may not gain
     more than 4 * substep across the next interval, and once a pair has been
-    within delta it may never exceed delta + 4 * substep. Returns a list of
-    (kind, interval, i, j, distance) tuples, empty when the run is clean.
+    within delta it may never exceed delta + 4 * substep. Within and beyond
+    delta are decided as the sensor decides them (`_separation`); the gain
+    and the band compare distances. Returns a list of (kind, interval, i, j,
+    distance) tuples, empty when the run is clean.
     """
     frames = trace.frames
     violations = []
@@ -383,21 +384,21 @@ def check_separation_band(trace: Trace, delta: float, substep: float) -> list[tu
     band = delta + 4.0 * substep
     prev = None
     for frame in frames:
-        d = _distances(frame.positions)
+        d, beyond = _separation(frame.positions, delta)
         if ever_close is None:
             ever_close = np.zeros_like(d, dtype=bool)
         else:
-            prev_d, prev_step = prev
+            prev_d, prev_beyond, prev_step = prev
             gap = frame.step - prev_step
             grow_tol = 4.0 * substep * gap
-            bad = (prev_d > delta) & (d - prev_d > grow_tol)
+            bad = prev_beyond & (d - prev_d > grow_tol)
             for i, j in zip(*np.nonzero(np.triu(bad, 1))):
                 violations.append(("separated_growth", frame.step, int(i), int(j), float(d[i, j])))
             bad = ever_close & (d > band)
             for i, j in zip(*np.nonzero(np.triu(bad, 1))):
                 violations.append(("close_pair_escape", frame.step, int(i), int(j), float(d[i, j])))
-        ever_close |= d < delta
-        prev = (d, frame.step)
+        ever_close |= ~beyond
+        prev = (d, beyond, frame.step)
     return violations
 
 
@@ -407,9 +408,10 @@ def check_lyapunov_monotone(trace: Trace, n: int, substep: float, delta: float) 
     (interval, previous, current, crossed) tuples, empty when monotone.
 
     crossed attributes an increase when the trace holds the frames of
-    interval - 1 and interval: the pairs (i, j, before, after), i < j, whose
-    distance went from at most delta to beyond it, each re-activating a
-    distance term of about 2 * delta. Without both frames it is None.
+    interval - 1 and interval: the pairs (i, j, before, after), i < j, with
+    their distances, that went from within delta to beyond it by the
+    sensor's test (`_separation`), each re-activating a distance term of
+    about 2 * delta. Without both frames it is None.
     """
     tol = 2.0 * n * n * substep
     positions = {frame.step: frame.positions for frame in trace.frames}
@@ -418,9 +420,9 @@ def check_lyapunov_monotone(trace: Trace, n: int, substep: float, delta: float) 
         if v1 - v0 > tol * (k1 - k0):
             crossed = None
             if k1 - 1 in positions and k1 in positions:
-                d0 = _distances(positions[k1 - 1])
-                d1 = _distances(positions[k1])
+                d0, beyond0 = _separation(positions[k1 - 1], delta)
+                d1, beyond1 = _separation(positions[k1], delta)
                 crossed = [(int(i), int(j), float(d0[i, j]), float(d1[i, j]))
-                           for i, j in zip(*np.nonzero(np.triu((d0 <= delta) & (d1 > delta), 1)))]
+                           for i, j in zip(*np.nonzero(np.triu(~beyond0 & beyond1, 1)))]
             violations.append((k1, v0, v1, crossed))
     return violations

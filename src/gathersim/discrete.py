@@ -44,20 +44,21 @@ def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headin
     to construct adversarial steps); otherwise they come from `rng`.
     """
     headings = step_headings(rng, state.n, headings)
-    return _jump(state, config, headings, np.cos(headings), np.sin(headings))
+    return Constellation(_jump(state.positions, config, np.cos(headings), np.sin(headings)),
+                         headings)
 
 
-def _jump(state: Constellation, config: DiscreteConfig, headings, hx, hy) -> Constellation:
-    """The step of `discrete_step` for given headings and their cosines hx
-    and sines hy; the run loop calls it with the rows of a heading block.
-    When no agent is free the positions array is reused."""
-    free = (~blocked_agents(state.positions, hx, hy)).nonzero()[0]
-    positions = state.positions
+def _jump(positions: np.ndarray, config: DiscreteConfig, hx, hy) -> np.ndarray:
+    """The positions after the step of `discrete_step` for headings with
+    cosines hx and sines hy; the run loop calls it with the rows of a
+    heading block. When no agent is free the positions array is returned
+    as it is."""
+    free = (~blocked_agents(positions, hx, hy)).nonzero()[0]
     if len(free):
         positions = positions.copy()
         positions[free, 0] += hx[free]
         positions[free, 1] += hy[free]
-    return Constellation(positions, headings, state.step_index + 1)
+    return positions
 
 
 # The observer's skip. A jump stores each coordinate x of a free agent as
@@ -97,13 +98,15 @@ def _far_steps(positions: np.ndarray) -> int:
     return max(1, math.floor((w - 1.0) / d))
 
 
-def run_discrete(config: DiscreteConfig, record_every: int = 1, collect_trace: bool = True,
+def run_discrete(config: DiscreteConfig, record_every: int | None = 1,
                  initial: Constellation | None = None) -> tuple[Trace, RunSummary]:
     """Run until the minimal enclosing disc radius is <= 1 (the step) or
     max_steps is reached. Non-convergence is a data outcome, not an error.
-    Pass `initial` to start from a prepared constellation instead of the
-    seeded uniform placement; it takes no draws, so the generator of
-    `config.seed` starts at its first draw either way.
+    The trace holds every record_every-th frame and the final one; with
+    record_every=None it stays empty. Pass `initial` to start from a
+    prepared constellation instead of the seeded uniform placement; it takes
+    no draws, so the generator of `config.seed` starts at its first draw
+    either way.
 
     The observer computes the exact disc only once the bounding box's
     half-width is at most 1, and checks the box only as often as the
@@ -111,15 +114,14 @@ def run_discrete(config: DiscreteConfig, record_every: int = 1, collect_trace: b
     """
     far = 0
 
-    def observe(trace, state, k):
+    def observe(trace, positions, k):
         nonlocal far
         if not far:
-            far = _far_steps(state.positions)
+            far = _far_steps(positions)
         if far:
             far -= 1
             return False, None
-        radius = min_enclosing_disc(state.positions).radius
+        radius = min_enclosing_disc(positions).radius
         return radius <= 1.0, radius
 
-    return run_loop("discrete", config, config.max_steps, _jump, observe,
-                    record_every, collect_trace, initial)
+    return run_loop(config, config.max_steps, _jump, observe, record_every, initial)

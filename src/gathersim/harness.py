@@ -73,7 +73,7 @@ def model_run(model: str, n: int, seed: int, spread: float | None = None,
 
 def _run_untraced(config, run) -> RunSummary:
     """The summary of one run, untraced."""
-    return run(config, collect_trace=False)[1]
+    return run(config, record_every=None)[1]
 
 
 def _ensemble_jobs(runs: int) -> int:
@@ -98,12 +98,13 @@ def run_many(runs: Sequence[tuple]) -> list[RunSummary]:
     The runs go to a pool of forked workers, one per usable CPU (the
     process's affinity mask) up to one per run, largest n first (later runs
     first among equal n); with one usable CPU, or no `fork` start method,
-    they run in this process. A config holds its run's seed, so the
-    summaries are the same for every worker count. A run's exception
-    reaches the caller, and no worker outlives the call.
+    they run in this process, and an empty ensemble starts no pool. A config
+    holds its run's seed, so the summaries are the same for every worker
+    count. A run's exception reaches the caller, and no worker outlives the
+    call.
     """
     jobs = _ensemble_jobs(len(runs))
-    if jobs == 1:
+    if jobs <= 1:
         return [_run_untraced(config, run) for config, run in runs]
     import multiprocessing
 

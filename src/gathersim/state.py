@@ -19,14 +19,15 @@ _BLOCK_HEADINGS = 4096
 
 @dataclass
 class Constellation:
-    """All agent positions and headings at one instant.
+    """All agent positions and headings at one instant: the state that
+    `discrete_step` and `continuous_interval` map to the next one, and a
+    run's optional start.
 
     positions: (n, 2) float64; headings: (n,) radians in [0, 2*pi).
     """
 
     positions: np.ndarray
     headings: np.ndarray
-    step_index: int = 0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -59,9 +60,9 @@ class Trace:
     """Time-indexed run record. frames follow the recording cadence (every
     record_every-th step plus the final one); series (traced continuous
     runs) has one entry per unit interval regardless: (interval, enclosing
-    radius, lyapunov value, confined). An untraced run leaves both empty."""
+    radius, lyapunov value, confined). An untraced run (record_every=None)
+    leaves both empty."""
 
-    model: str
     frames: list[Frame] = field(default_factory=list)
     series: list[tuple[int, float, float, bool]] = field(default_factory=list)
 
@@ -109,16 +110,16 @@ def init_constellation(config, rng: np.random.Generator) -> Constellation:
     """
     positions = rng.uniform(0.0, config.spread, (config.n, 2))
     headings = draw_headings(rng, config.n)
-    return Constellation(positions, headings, step_index=0)
+    return Constellation(positions, headings)
 
 
-def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
-             collect_trace: bool = True, initial: Constellation | None = None):
+def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
+             initial: Constellation | None = None):
     """Drive one run of either model: observe the start, then apply `move`
     (one discrete jump or one unit interval) until the observer reports
     convergence or `cap` steps have run. The loop counts the run's steps
-    from 0 itself, for frame numbers, the cap and the convergence step,
-    whatever the step index of the start.
+    from 0, for frame numbers, the cap and the convergence step, and holds
+    the positions and the current step's headings itself.
 
     The loop is the one place that draws a run's headings, from rng =
     make_rng(config.seed): the headings of up to _BLOCK_STEPS steps at once,
@@ -126,20 +127,22 @@ def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
     that) and never past the cap, in one (rows, n) draw with its cosines and
     sines. Row by row this consumes the generator as one draw of n headings
     per step would, and the cosine and sine of a row equal those of the
-    block (tested). `move(state, config, headings, hx, hy)` returns the next
-    Constellation for one step's headings and their cosines and sines. The
-    run starts from `initial` if given, else from the seeded uniform
-    placement; `initial` takes no draws, so the generator then starts at the
-    seed's first draw, and a non-finite position or a heading outside
-    [0, 2*pi) in it is a ValueError before the first observation.
-    `observe(trace, state, k)` returns (converged, radius); radius may be
-    None, and if it is None at the last state the enclosing disc is computed
-    once, after the loop, for the summary. With `collect_trace` the trace
-    records every record_every-th frame and the final one, each with moved
-    flags against the previous step; without it no per-step flags are
-    computed. Non-convergence is a data outcome, not an error.
+    block (tested). `move(positions, config, hx, hy)` returns the next
+    positions for one step's heading cosines and sines; it may return its
+    input array when no agent moves, and never changes it in place. The run
+    starts from `initial` if given, else from the seeded uniform placement;
+    `initial` takes no draws, so the generator then starts at the seed's
+    first draw, and a non-finite position or a heading outside [0, 2*pi) in
+    it is a ValueError before the first observation.
+    `observe(trace, positions, k)` returns (converged, radius); radius may
+    be None, and if it is None at the last step the enclosing disc is
+    computed once, after the loop, for the summary. With an integer
+    `record_every` the trace records every record_every-th frame and the
+    final one, each with moved flags against the previous step; with None
+    it records no frames and no per-step flags are computed. Non-convergence
+    is a data outcome, not an error.
     """
-    record_every = check_integer("record_every", record_every, 1)
+    record_every = None if record_every is None else check_integer("record_every", record_every, 1)
     rng = make_rng(config.seed)
     state = initial if initial is not None else init_constellation(config, rng)
     if state.n != config.n:
@@ -149,31 +152,33 @@ def run_loop(model: str, config, cap: int, move, observe, record_every: int = 1,
                                          & (initial.headings < TWO_PI)).all()):
         raise ValueError("initial constellation has NaN or infinite positions, "
                          "or headings outside [0, 2*pi)")
-    trace = Trace(model=model)
-    block_rows = max(1, min(_BLOCK_STEPS, _BLOCK_HEADINGS // state.n))
+    positions = prev_positions = state.positions
+    headings = state.headings
+    trace = Trace()
+    block_rows = max(1, min(_BLOCK_STEPS, _BLOCK_HEADINGS // config.n))
     row = rows = 0
-    prev_positions = state.positions
     k = 0
     while True:
-        converged, radius = observe(trace, state, k)
+        converged, radius = observe(trace, positions, k)
         last = converged or k >= cap
-        if collect_trace and (last or k % record_every == 0):
-            moved = np.any(state.positions != prev_positions, axis=1)
-            trace.frames.append(Frame(k, state.positions.copy(), state.headings.copy(), moved))
+        if record_every is not None and (last or k % record_every == 0):
+            moved = np.any(positions != prev_positions, axis=1)
+            trace.frames.append(Frame(k, positions.copy(), headings.copy(), moved))
         if last:
             break
         if row == rows:
             rows = min(block_rows, cap - k)
-            headings = rng.uniform(0.0, TWO_PI, (rows, state.n))
-            hx = np.cos(headings)
-            hy = np.sin(headings)
+            block = rng.uniform(0.0, TWO_PI, (rows, config.n))
+            hx = np.cos(block)
+            hy = np.sin(block)
             row = 0
-        prev_positions = state.positions
-        state = move(state, config, headings[row], hx[row], hy[row])
+        prev_positions = positions
+        headings = block[row]
+        positions = move(positions, config, hx[row], hy[row])
         row += 1
         k += 1
     if radius is None:
-        radius = min_enclosing_disc(state.positions).radius
+        radius = min_enclosing_disc(positions).radius
     summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,
                          converged_step=k if converged else None, final_radius=radius)
     return trace, summary

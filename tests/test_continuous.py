@@ -18,6 +18,7 @@ from gathersim.continuous import (
     run_continuous,
 )
 from gathersim import continuous
+from gathersim.discrete import DiscreteConfig, run_discrete
 from gathersim.geometry import blind_zone_sensor, min_enclosing_disc
 from gathersim.rng import make_rng
 from gathersim.state import Constellation, Frame, Trace, init_constellation
@@ -547,7 +548,7 @@ def test_run_two_agents_converges_well_under_bound():
     for seed in range(40):
         cfg = ContinuousConfig(n=2, delta=0.1, spread=5.0, seed=seed, max_intervals=5000)
         initial = Constellation(np.array([[1.0, 1.0], [4.0, 1.0]]), np.zeros(2))
-        _, summary = run_continuous(cfg, collect_trace=False, initial=initial)
+        _, summary = run_continuous(cfg, record_every=None, initial=initial)
         assert summary.converged_step is not None
         steps.append(summary.converged_step)
     assert np.mean(steps) <= bound
@@ -591,7 +592,7 @@ def test_separation_band_names_both_kinds_of_violation():
     frames = [np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.0, 0.05]]),
               np.array([[0.0, 0.0], [1.01, 0.0], [10.0, 0.0], [10.0, 0.05]]),
               np.array([[0.0, 0.0], [1.01, 0.0], [10.0, 0.0], [10.0, 0.2]])]
-    trace = Trace(model="continuous")
+    trace = Trace()
     for k, pos in enumerate(frames):
         trace.frames.append(Frame(k, pos, np.zeros(4), np.zeros(4, dtype=bool)))
     violations = check_separation_band(trace, 0.1, 1e-3)
@@ -605,7 +606,7 @@ def test_lyapunov_increase_names_the_pairs_that_crossed_delta():
     # distance term; pair (0, 2) stays separated and is not named
     frames = [np.array([[0.0, 0.0], [0.09, 0.0], [5.0, 0.0]]),
               np.array([[0.0, 0.0], [0.12, 0.0], [5.0, 0.0]])]
-    trace = Trace(model="continuous")
+    trace = Trace()
     for k, pos in enumerate(frames):
         trace.frames.append(Frame(k, pos, np.zeros(3), np.zeros(3, dtype=bool)))
         trace.series.append((k, 0.0, lyapunov_value(pos, 0.1).value, False))
@@ -616,6 +617,52 @@ def test_lyapunov_increase_names_the_pairs_that_crossed_delta():
     # without the frames the increase is still reported, unattributed
     trace.frames.clear()
     assert check_lyapunov_monotone(trace, 3, 1e-3, 0.1) == [(1, v0, v1, None)]
+
+
+# delta and an offset whose squared distance exceeds delta * delta while its
+# root rounds to delta: beyond delta for the sensor, not by the distance
+NEAR_DELTA = 0.5710315816583608
+BEYOND_ROUNDING_TO_DELTA = (-0.37232187826155533, -0.43295898907291064)
+# an offset whose squared distance is at most delta * delta, with the same root
+WITHIN_ROUNDING_TO_DELTA = (0.5522125829188474, 0.14539026967904037)
+
+
+def test_lyapunov_increase_names_a_pair_beyond_delta_by_the_sensors_test():
+    # pair (0, 1) ends beyond delta by the squared test, which the Lyapunov
+    # sum counts, at a distance that rounds to delta
+    ox, oy = BEYOND_ROUNDING_TO_DELTA
+    assert ox * ox + oy * oy > NEAR_DELTA * NEAR_DELTA
+    assert math.sqrt(ox * ox + oy * oy) == NEAR_DELTA
+    frames = [np.array([[0.0, 0.0], [ox / 2, oy / 2], [5.0, 0.0]]),
+              np.array([[0.0, 0.0], [ox, oy], [5.0, 0.0]])]
+    trace = Trace()
+    for k, pos in enumerate(frames):
+        trace.frames.append(Frame(k, pos, np.zeros(3), np.zeros(3, dtype=bool)))
+        trace.series.append((k, 0.0, lyapunov_value(pos, NEAR_DELTA).value, False))
+    [(interval, v0, v1, crossed)] = check_lyapunov_monotone(trace, 3, 1e-3, NEAR_DELTA)
+    assert interval == 1 and v1 - v0 > 1.5
+    assert [(i, j) for i, j, _, _ in crossed] == [(0, 1)]
+    assert crossed[0][3] == NEAR_DELTA
+
+
+@pytest.mark.parametrize("offset, kind", [(BEYOND_ROUNDING_TO_DELTA, "separated_growth"),
+                                          (WITHIN_ROUNDING_TO_DELTA, "close_pair_escape")],
+                         ids=["beyond", "within"])
+def test_separation_band_classifies_pairs_by_the_sensors_test(offset, kind):
+    # a pair at distance delta, beyond it or within it by the squared test,
+    # then 0.05 further apart: a separated pair gained more than 4 * substep,
+    # and a pair that was within delta left delta + 4 * substep
+    ox, oy = offset
+    assert (ox * ox + oy * oy > NEAR_DELTA * NEAR_DELTA) == (kind == "separated_growth")
+    assert math.sqrt(ox * ox + oy * oy) == NEAR_DELTA
+    scale = (NEAR_DELTA + 0.05) / NEAR_DELTA
+    trace = Trace()
+    for k, pos in enumerate([np.array([[0.0, 0.0], [ox, oy]]),
+                             np.array([[0.0, 0.0], [ox * scale, oy * scale]])]):
+        trace.frames.append(Frame(k, pos, np.zeros(2), np.zeros(2, dtype=bool)))
+    violations = check_separation_band(trace, NEAR_DELTA, 1e-3)
+    assert [v[:4] for v in violations] == [(kind, 1, 0, 1)]
+    assert violations[0][4] == pytest.approx(NEAR_DELTA + 0.05)
 
 
 def test_series_matches_public_lyapunov_value():
@@ -630,13 +677,17 @@ def test_series_matches_public_lyapunov_value():
 
 @pytest.mark.parametrize("cap", [3000, 5])
 def test_untraced_run_records_only_its_summary(cap):
-    # the untraced observer tests the disc alone: no Lyapunov sum, no series
-    cfg = ContinuousConfig(n=5, delta=0.1, spread=2.0, seed=4, max_intervals=cap)
-    trace, summary = run_continuous(cfg, collect_trace=False)
-    _, traced_summary = run_continuous(cfg)
-    assert summary == traced_summary
-    assert (summary.converged_step is None) == (cap == 5)
-    assert trace.series == [] and trace.frames == []
+    # the untraced continuous observer tests the disc alone: no Lyapunov
+    # sum, no series; neither model records a frame
+    for run, cfg in [
+        (run_continuous, ContinuousConfig(n=5, delta=0.1, spread=2.0, seed=4, max_intervals=cap)),
+        (run_discrete, DiscreteConfig(n=5, spread=10.0, seed=4, max_steps=cap)),
+    ]:
+        trace, summary = run(cfg, record_every=None)
+        _, traced_summary = run(cfg)
+        assert summary == traced_summary
+        assert (summary.converged_step is None) == (cap == 5)
+        assert trace.series == [] and trace.frames == []
 
 
 def test_run_deterministic():
@@ -691,8 +742,8 @@ def test_run_matches_a_plain_interval_loop():
     rng = make_rng(cfg.seed)
     state = init_constellation(cfg, rng)
     assert summary.converged_step is None and len(trace.frames) == 66
-    for frame in trace.frames:
-        assert frame.step == state.step_index
+    for k, frame in enumerate(trace.frames):
+        assert frame.step == k
         assert np.array_equal(frame.positions, state.positions)
         assert np.array_equal(frame.headings, state.headings)
         state = continuous_interval(state, cfg, rng)

@@ -132,8 +132,7 @@ def test_synchrony_under_index_permutation():
     chi = rng.uniform(0, 2 * math.pi, cfg.n)
     perm = np.random.default_rng(1).permutation(cfg.n)
     direct = discrete_step(state, cfg, headings=chi)
-    permuted_state = Constellation(state.positions[perm].copy(), state.headings[perm].copy(),
-                                   state.step_index)
+    permuted_state = Constellation(state.positions[perm].copy(), state.headings[perm].copy())
     permuted = discrete_step(permuted_state, cfg, headings=chi[perm])
     assert np.array_equal(permuted.positions, direct.positions[perm])
 
@@ -236,35 +235,6 @@ def test_run_rejects_an_initial_of_another_size(run, cfg):
         run(cfg, initial=initial)
 
 
-@pytest.mark.parametrize("step,cfg", [
-    (discrete_step, DiscreteConfig(n=5, spread=5.0, seed=1, max_steps=20)),
-    (discrete_step, DiscreteConfig(n=5, spread=5.0, seed=1, max_steps=3)),
-    (continuous_interval, ContinuousConfig(n=3, spread=2.0, seed=1, max_intervals=100)),
-    (continuous_interval, ContinuousConfig(n=3, spread=2.0, seed=1, max_intervals=2)),
-], ids=["discrete", "discrete-capped", "continuous", "continuous-capped"])
-def test_run_counts_its_steps_from_0_whatever_the_initial_step_index(step, cfg):
-    # a start at step index 1 used to skip frame 1, report one step too many
-    # and stop one step short of the cap
-    run, cap = ((run_discrete, cfg.max_steps) if step is discrete_step
-                else (run_continuous, cfg.max_intervals))
-    rng = make_rng(cfg.seed)
-    start = step(init_constellation(cfg, rng), cfg, rng)
-    assert start.step_index == 1
-    trace, summary = run(cfg, initial=start)
-    ref_trace, ref_summary = run(cfg, initial=Constellation(start.positions, start.headings))
-    assert summary == ref_summary
-    assert trace.series == ref_trace.series
-    assert [f.step for f in trace.frames] == list(range(len(ref_trace.frames)))
-    for frame, ref in zip(trace.frames, ref_trace.frames):
-        assert np.array_equal(frame.positions, ref.positions)
-        assert np.array_equal(frame.headings, ref.headings)
-        assert np.array_equal(frame.moved, ref.moved)
-    if summary.converged_step is None:
-        assert len(trace.frames) == cap + 1
-    else:
-        assert summary.converged_step == len(trace.frames) - 1 <= cap
-
-
 def test_run_deterministic_trace():
     cfg = DiscreteConfig(n=15, seed=17)
     t1, s1 = run_discrete(cfg)
@@ -365,22 +335,24 @@ def reference_run(cfg, record_every=1, initial=None):
     state = initial if initial is not None else init_constellation(cfg, rng)
     frames = []
     prev = state.positions
+    k = 0
     while True:
         pos = state.positions
         half = max(pos[:, 0].max() - pos[:, 0].min(), pos[:, 1].max() - pos[:, 1].min()) / 2.0
         radius = None if half > 1.0 else min_enclosing_disc(pos).radius
         converged = radius is not None and radius <= 1.0
-        last = converged or state.step_index >= cfg.max_steps
-        if last or state.step_index % record_every == 0:
-            frames.append((state.step_index, pos.copy(), state.headings.copy(),
+        last = converged or k >= cfg.max_steps
+        if last or k % record_every == 0:
+            frames.append((k, pos.copy(), state.headings.copy(),
                            np.any(pos != prev, axis=1)))
         if last:
             break
         prev = pos
         state = discrete_step(state, cfg, rng)
+        k += 1
     if radius is None:
         radius = min_enclosing_disc(state.positions).radius
-    return frames, (state.step_index if converged else None, radius)
+    return frames, (k if converged else None, radius)
 
 
 def assert_matches_reference(cfg, record_every, initial=None):
@@ -443,6 +415,55 @@ def test_far_steps_hold_when_the_box_shrinks_fastest(offset, side):
         x = state.positions[:, 0]
         assert (x.max() - x.min()) / 2.0 > 1.0
         state = discrete_step(state, cfg, headings=headings)
+
+
+# Sides of the frames of the box-gate lemma: just above 2, where the gate's
+# half-width w = side / 2 first exceeds 1, and well above and below it.
+LEMMA_SIDES = [2.0 + 2.0 ** -51, 2.0 + 2.0 ** -49, 2.0 + 1e-12, 2.000001, 2.0, 1.5, 2.5, 40.0]
+LEMMA_OFFSETS = [0.0, 1e8, 2.0 ** 52 - 64.0, 2.0 ** 52]
+
+
+def lemma_frame(kind, side, rng):
+    """One frame of `kind` whose wider bounding-box side is about `side`,
+    before its offset."""
+    n = int(rng.integers(2, 12))
+    t = np.concatenate([[0.0, side], rng.uniform(0.0, side, n - 2)])
+    if kind == "axis":
+        pos = np.stack([t, np.full(n, rng.uniform(-3.0, 3.0))], axis=1)
+        return pos[:, ::-1] if rng.random() < 0.5 else pos
+    if kind == "diagonal":
+        return np.stack([t, rng.choice([1.0, -1.0, 0.5, -2.0]) * t], axis=1)
+    if kind == "coincident":
+        return np.tile(rng.uniform(-3.0, 3.0, 2), (n, 1))
+    if kind == "two-point":
+        a = rng.choice([0.0, math.pi / 2, rng.uniform(0.0, 2 * math.pi)])
+        return np.array([[0.0, 0.0], [side * math.cos(a), side * math.sin(a)]])
+    if kind == "regular":
+        a = rng.uniform(0.0, 2 * math.pi) + 2 * math.pi * np.arange(n) / n
+    else:  # cocircular, with a diameter along x
+        a = np.concatenate([[0.0, math.pi], rng.uniform(0.0, 2 * math.pi, n - 2)])
+    return np.stack([np.cos(a), np.sin(a)], axis=1) * (side / 2.0)
+
+
+@pytest.mark.parametrize("kind", ["axis", "diagonal", "coincident", "two-point", "cocircular",
+                                  "regular"])
+def test_disc_radius_bounds_the_box_gate(kind):
+    # the lemma the observer's box gate relies on: the radius that
+    # min_enclosing_disc computes is at least half the wider side of the
+    # bounding box. Its containment test admits a point up to
+    # radius * _DISC_EPS from the centre, which is the margin. So a frame
+    # with _far_steps > 0 (half-width above 1) is never one the disc would
+    # call gathered.
+    rng = np.random.default_rng(len(kind))
+    for side in LEMMA_SIDES:
+        for offset in LEMMA_OFFSETS:
+            for _ in range(20):
+                pos = lemma_frame(kind, side, rng) + offset
+                radius = min_enclosing_disc(pos).radius
+                half = float((pos.max(axis=0) - pos.min(axis=0)).max()) / 2.0
+                assert half <= radius * geometry._DISC_EPS, (kind, side, offset)
+                if _far_steps(pos) > 0:
+                    assert radius > 1.0, (kind, side, offset)
 
 
 def test_heading_block_cosines_equal_each_rows():

@@ -213,7 +213,7 @@ MIXED_RUNS = [
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_many_returns_each_runs_summary_in_input_order(jobs, monkeypatch):
-    expected = [run(config, collect_trace=False)[1] for config, run in MIXED_RUNS]
+    expected = [run(config, record_every=None)[1] for config, run in MIXED_RUNS]
     use_jobs(monkeypatch, jobs)
     assert run_many(MIXED_RUNS) == expected
     assert_no_child_process()
@@ -256,6 +256,15 @@ def test_run_many_with_one_worker_starts_no_pool(monkeypatch):
     assert [s.n for s in run_many(MIXED_RUNS)] == [20, 3, 5, 2, 20]
     cfg = SweepConfig(model="discrete", n_values=[2, 3], reps=2, base_seed=5, max_steps=50)
     assert [s.n for s in run_sweep(cfg)] == [2, 2, 3, 3]
+
+
+def test_an_empty_ensemble_returns_no_summaries_and_starts_no_pool(monkeypatch):
+    # an empty ensemble used to size its pool to 0 workers, and Pool(0) raises
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an empty ensemble started a pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert run_many([]) == []
 
 
 def test_ensemble_jobs_is_bounded_by_the_runs_and_the_usable_cpus(monkeypatch):

@@ -39,8 +39,8 @@ def test_trace_csv_matches_csv_writer_on_edge_values(tmp_path):
                           [3.0, -7.0], [0.1 + 0.2, -1e16]])
     headings = np.array([0.0, -0.0, 6.283185307179586, 1e-300, 2.0])
     moved = np.array([False, True, True, False, True])
-    trace = Trace("discrete", [Frame(0, positions, headings, moved),
-                               Frame(7, -positions, headings[::-1].copy(), ~moved)])
+    trace = Trace([Frame(0, positions, headings, moved),
+                   Frame(7, -positions, headings[::-1].copy(), ~moved)])
     assert_same_bytes(trace, tmp_path)
     assert "-0.0,0.0," in (tmp_path / "got.csv").read_text()
 
@@ -50,7 +50,7 @@ def test_trace_csv_matches_csv_writer_on_runs(tmp_path):
         trace, _ = run_discrete(DiscreteConfig(n=12, seed=3, max_steps=40),
                                 record_every=record_every)
         assert_same_bytes(trace, tmp_path)
-    assert_same_bytes(Trace("discrete"), tmp_path)
+    assert_same_bytes(Trace(), tmp_path)
 
 
 def test_trace_csv_matches_csv_writer_above_the_witness_threshold(tmp_path):
@@ -79,7 +79,7 @@ def test_trace_csv_agent_moves_away_and_back(tmp_path):
     away = home.copy()
     away[1] = [0.9, -1.5000000000000002]
     headings = np.array([0.5, 1.5, 2.5])
-    trace = Trace("discrete", [
+    trace = Trace([
         Frame(0, home, headings, np.zeros(3, dtype=bool)),
         Frame(3, away, headings, np.array([False, True, True])),
         Frame(6, home.copy(), headings, np.array([False, True, False])),
@@ -96,4 +96,4 @@ def test_trace_csv_agent_count_changes_between_frames(tmp_path):
                             rng.random(n) < 0.5))
     frames[2].positions[:3] = frames[1].positions[:3]
     frames[4].positions[:2] = frames[3].positions
-    assert_same_bytes(Trace("discrete", frames), tmp_path)
+    assert_same_bytes(Trace(frames), tmp_path)
