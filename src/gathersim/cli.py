@@ -84,19 +84,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_dirs(*paths):
-    """OSError unless each output's directory exists, so that a run whose
-    outputs cannot be written fails before it starts, not after."""
-    for path in paths:
+def _check_outputs(outputs):
+    """Fail before the run, not after it: OSError unless each output's
+    directory exists, ValueError if two outputs name the same file, where the
+    later write would silently replace the earlier one. outputs maps each
+    flag to its path."""
+    seen = {}
+    for flag, path in outputs.items():
         directory = Path(path).parent
         if not directory.is_dir():
             raise OSError(f"cannot write {path}: {directory} is not an existing directory")
+        other = seen.setdefault(Path(path).resolve(), flag)
+        if other != flag:
+            raise ValueError(f"{other} and {flag} name the same file {path}")
 
 
 def _cmd_sim(args) -> int:
     config, run = model_run(args.model, args.n, args.seed, args.spread, args.delta,
                             args.substep, args.steps)
-    _check_output_dirs(args.trace, args.summary)
+    outputs = {"--trace": args.trace, "--summary": args.summary}
+    if args.model == "continuous":
+        outputs["the series of --trace"] = series_path_for(args.trace)
+    _check_outputs(outputs)
     trace, summary = run(config, record_every=args.record_every)
     write_trace_csv(trace, args.trace)
     if args.model == "continuous":
@@ -112,7 +121,7 @@ def _cmd_sweep(args) -> int:
                          max_steps=args.steps)
     if len(config.n_values) < 2:
         raise ValueError("a sweep fits a line over n and needs >= 2 agent counts")
-    _check_output_dirs(args.out)
+    _check_outputs({"--out": args.out})
     summaries = run_sweep(config)
     write_summaries_csv(summaries, args.out)
     fit, n_means, excluded = fit_sweep(summaries)

@@ -98,7 +98,7 @@ import numpy as np
 
 from .geometry import _pair_terms, as_points, blind_zone_sensor, min_enclosing_disc
 from .rng import SEED_LIMIT, check_integer
-from .state import Constellation, RunSummary, Trace, run_loop, step_headings
+from .state import Constellation, RunSummary, Trace, apply_move, run_loop
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -236,8 +236,10 @@ def _pair_repeats(i, j, p, h, d, mover, rounds, delta, guard, cap):
 
 
 def _advance_interval(pos, hx, hy, delta, step, nsub):
-    """Integrate nsub substeps of the sliding rule in place on pos, sensing
-    only the substeps whose decisions can change (module docstring)."""
+    """The positions after nsub substeps of the sliding rule from pos,
+    sensing only the substeps whose decisions can change (module
+    docstring). pos is never written; it is returned as it is when no agent
+    moves in the first substep."""
     n = pos.shape[0]
     heading = np.stack([hx, hy], axis=1)
     move = step * heading
@@ -280,8 +282,9 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
                 break
         if k:
             new[free] = _repeat_add(new[free], move[free], k)
-        pos[:] = new
+        pos = new
         left -= 1 + k
+    return pos
 
 
 def _repeat_add(x, d, k):
@@ -298,24 +301,21 @@ def _repeat_add(x, d, k):
     return x
 
 
-def continuous_interval(state: Constellation, config: ContinuousConfig, rng=None,
-                        headings=None) -> Constellation:
-    """Advance one unit interval: redraw headings once, then integrate
-    1/substep synchronous sense-then-move substeps under the sliding rule of
-    the module docstring. Pass `headings` to force the draw; otherwise they
-    come from `rng`."""
-    headings = step_headings(rng, state.n, headings)
-    return Constellation(_interval(state.positions, config, np.cos(headings), np.sin(headings)),
-                         headings)
+def continuous_interval(state: Constellation, config: ContinuousConfig,
+                        headings) -> Constellation:
+    """Advance one unit interval under `headings`, one per agent in index
+    order and fixed for the whole interval: 1/substep synchronous
+    sense-then-move substeps under the sliding rule of the module docstring.
+    A run draws each interval's headings as `draw_headings(rng, n)` does;
+    pass others to force an interval."""
+    return apply_move(_interval, state, config, headings)
 
 
 def _interval(positions: np.ndarray, config: ContinuousConfig, hx, hy) -> np.ndarray:
     """The positions after the interval of `continuous_interval` for
-    headings with cosines hx and sines hy, in a new array; the run loop
-    calls it with the rows of a heading block."""
-    pos = positions.copy()
-    _advance_interval(pos, hx, hy, config.delta, config.substep, config.nsub)
-    return pos
+    headings with cosines hx and sines hy; the run loop calls it with the
+    rows of a heading block."""
+    return _advance_interval(positions, hx, hy, config.delta, config.substep, config.nsub)
 
 
 def _separation(positions: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +360,10 @@ def run_continuous(config: ContinuousConfig, record_every: int | None = 1,
     def observe(trace, positions, k):
         radius = min_enclosing_disc(positions).radius
         if record_every is None:
-            return radius < config.delta, radius
+            return radius < config.delta
         value, confined = _lyapunov(positions, config.delta, radius)
         trace.series.append((k, radius, value, confined))
-        return confined, radius
+        return confined
 
     return run_loop(config, config.max_intervals, _interval, observe, record_every, initial)
 

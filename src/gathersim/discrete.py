@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import blocked_agents, min_enclosing_disc
 from .rng import SEED_LIMIT, check_integer
-from .state import Constellation, RunSummary, Trace, run_loop, step_headings
+from .state import Constellation, RunSummary, Trace, apply_move, run_loop
 
 
 @dataclass
@@ -35,17 +35,14 @@ class DiscreteConfig:
             raise ValueError("spread must be finite and > 0")
 
 
-def discrete_step(state: Constellation, config: DiscreteConfig, rng=None, headings=None) -> Constellation:
-    """One synchronous jump step.
-
-    All headings are redrawn (agent-index order) before any sensing; every
-    agent whose closed back half-plane is empty advances one length unit
-    along its new heading. Pass `headings` to force the draw (tests use this
-    to construct adversarial steps); otherwise they come from `rng`.
+def discrete_step(state: Constellation, config: DiscreteConfig, headings) -> Constellation:
+    """One synchronous jump step under `headings`, one per agent in index
+    order, all fixed before any sensing: every agent whose closed back
+    half-plane is empty advances one length unit along its heading. A run
+    draws each step's headings as `draw_headings(rng, n)` does; pass others
+    to force a step (tests use this to construct adversarial steps).
     """
-    headings = step_headings(rng, state.n, headings)
-    return Constellation(_jump(state.positions, config, np.cos(headings), np.sin(headings)),
-                         headings)
+    return apply_move(_jump, state, config, headings)
 
 
 def _jump(positions: np.ndarray, config: DiscreteConfig, hx, hy) -> np.ndarray:
@@ -120,8 +117,7 @@ def run_discrete(config: DiscreteConfig, record_every: int | None = 1,
             far = _far_steps(positions)
         if far:
             far -= 1
-            return False, None
-        radius = min_enclosing_disc(positions).radius
-        return radius <= 1.0, radius
+            return False
+        return min_enclosing_disc(positions).radius <= 1.0
 
     return run_loop(config, config.max_steps, _jump, observe, record_every, initial)

@@ -1,9 +1,11 @@
-"""Planar primitives shared by the dynamics engines and the bounds module.
+"""Planar primitives of the two models.
 
-Only what the simulators and the convergence analysis consume: the
-back-half-plane sensor of each model (`blocked_agents` for the discrete
-model, `blind_zone_sensor` for the continuous one), strictly convex hulls,
-hull corner angles, and the minimal enclosing disc. Coordinates are float64
+The simulators consume the back-half-plane sensor of each model
+(`blocked_agents` for the discrete model, `blind_zone_sensor` for the
+continuous one) and the minimal enclosing disc. Strictly convex hulls and
+hull corner angles serve tests and library users: an agent can be free only
+at a hull vertex, in the arc of headings of width pi minus its corner angle,
+but no run and no closed-form bound computes them. Coordinates are float64
 throughout; angles are radians.
 """
 

@@ -85,19 +85,17 @@ def draw_headings(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(0.0, TWO_PI, n)
 
 
-def step_headings(rng, n: int, headings=None) -> np.ndarray:
-    """The headings of one model step: the caller's `headings`, checked to be
-    n finite values, or else n fresh ones drawn from `rng`."""
-    if headings is None:
-        if rng is None:
-            raise ValueError("a step needs an rng or explicit headings")
-        return draw_headings(rng, n)
+def apply_move(move, state: Constellation, config, headings) -> Constellation:
+    """One model step by hand: `move(positions, config, hx, hy)`, the
+    model's move that the run loop calls, applied to `state` under the
+    caller's `headings`, checked to be one finite value per agent."""
     headings = np.asarray(headings, dtype=float)
-    if headings.shape != (n,):
+    if headings.shape != (state.n,):
         raise ValueError("headings must have one entry per agent")
     if not np.isfinite(headings).all():
         raise ValueError("headings must be finite")
-    return headings
+    return Constellation(move(state.positions, config, np.cos(headings), np.sin(headings)),
+                         headings)
 
 
 def init_constellation(config, rng: np.random.Generator) -> Constellation:
@@ -125,8 +123,10 @@ def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
     make_rng(config.seed): the headings of up to _BLOCK_STEPS steps at once,
     at most _BLOCK_HEADINGS of them (or one step's, for more agents than
     that) and never past the cap, in one (rows, n) draw with its cosines and
-    sines. Row by row this consumes the generator as one draw of n headings
-    per step would, and the cosine and sine of a row equal those of the
+    sines. Row by row this consumes the generator as one
+    `draw_headings(rng, n)` per step would, so `discrete_step` or
+    `continuous_interval` fed those draws after `init_constellation`
+    reproduces the run, and the cosine and sine of a row equal those of the
     block (tested). `move(positions, config, hx, hy)` returns the next
     positions for one step's heading cosines and sines; it may return its
     input array when no agent moves, and never changes it in place. The run
@@ -134,13 +134,13 @@ def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
     `initial` takes no draws, so the generator then starts at the seed's
     first draw, and a non-finite position or a heading outside [0, 2*pi) in
     it is a ValueError before the first observation.
-    `observe(trace, positions, k)` returns (converged, radius); radius may
-    be None, and if it is None at the last step the enclosing disc is
-    computed once, after the loop, for the summary. With an integer
-    `record_every` the trace records every record_every-th frame and the
-    final one, each with moved flags against the previous step; with None
-    it records no frames and no per-step flags are computed. Non-convergence
-    is a data outcome, not an error.
+    `observe(trace, positions, k)` returns whether the run has gathered;
+    the summary's final radius is the enclosing disc of the last positions,
+    computed once after the loop. With an integer `record_every` the trace
+    records every record_every-th frame and the final one, each with moved
+    flags against the previous step; with None it records no frames and no
+    per-step flags are computed. Non-convergence is a data outcome, not an
+    error.
     """
     record_every = None if record_every is None else check_integer("record_every", record_every, 1)
     rng = make_rng(config.seed)
@@ -159,7 +159,7 @@ def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
     row = rows = 0
     k = 0
     while True:
-        converged, radius = observe(trace, positions, k)
+        converged = observe(trace, positions, k)
         last = converged or k >= cap
         if record_every is not None and (last or k % record_every == 0):
             moved = np.any(positions != prev_positions, axis=1)
@@ -177,8 +177,7 @@ def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
         positions = move(positions, config, hx[row], hy[row])
         row += 1
         k += 1
-    if radius is None:
-        radius = min_enclosing_disc(positions).radius
     summary = RunSummary(run_id=0, seed=config.seed, n=config.n, spread=config.spread,
-                         converged_step=k if converged else None, final_radius=radius)
+                         converged_step=k if converged else None,
+                         final_radius=min_enclosing_disc(positions).radius)
     return trace, summary

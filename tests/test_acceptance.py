@@ -22,7 +22,7 @@ from gathersim.discrete import DiscreteConfig, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, corner_angles, min_enclosing_disc
 from gathersim.harness import SweepConfig, fit_sweep, run_many, run_sweep
 from gathersim.rng import make_rng
-from gathersim.state import Constellation, init_constellation
+from gathersim.state import Constellation, draw_headings, init_constellation
 
 from test_geometry import brute_min_disc
 
@@ -224,7 +224,7 @@ def test_criterion_7_theory_oracles():
         state = init_constellation(cfg, rng_run)
         for _ in range(500):
             hull_idx = set(convex_hull(state.positions).indices.tolist())
-            new = discrete_step(state, cfg, rng_run)
+            new = discrete_step(state, cfg, draw_headings(rng_run, cfg.n))
             movers = set(np.nonzero(np.any(new.positions != state.positions,
                                            axis=1))[0].tolist())
             if not movers <= hull_idx:

@@ -26,3 +26,16 @@ def test_readme_library_snippet_runs(capsys):
     # run's bound report prints a finite ceiling
     lines = capsys.readouterr().out.split()
     assert int(lines[0]) > 0 and float(lines[1]) <= 1.0 and float(lines[2]) > 0.0
+
+
+def test_readme_stepping_by_hand_reproduces_a_run():
+    library = README.read_text().split("## Library", 1)[1]
+    snippet = re.findall(r"```python\n(.*?)```", library, re.S)[1]
+    namespace = {}
+    exec(snippet, namespace)
+    cfg, state = namespace["cfg"], namespace["state"]
+    cfg.max_steps = 10
+    trace, _ = gathersim.run_discrete(cfg)
+    assert trace.frames[-1].step == 10
+    assert (trace.frames[-1].positions == state.positions).all()
+    assert (trace.frames[-1].headings == state.headings).all()

@@ -271,3 +271,30 @@ def test_an_output_under_a_file_exits_3_before_the_run(tmp_path, monkeypatch, ca
                  "--trace", str(tmp_path / "t.csv"), "--summary", str(summary)]) == 3
     assert str(summary) in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("model, trace, summary, flags", [
+    ("discrete", "b.csv", "b.csv", ["--trace", "--summary"]),
+    ("discrete", "b.csv", "sub/../b.csv", ["--trace", "--summary"]),
+    ("continuous", "a.csv", "a.series.csv", ["--summary", "the series of --trace"]),
+], ids=["discrete", "discrete-spelled-differently", "continuous-series"])
+def test_sim_rejects_two_outputs_naming_the_same_file(model, trace, summary, flags, tmp_path,
+                                                      monkeypatch, capsys):
+    # the later write used to replace the earlier output, and the run exited 0
+    monkeypatch.setattr(harness, "run_discrete", _no_run)
+    monkeypatch.setattr(harness, "run_continuous", _no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["sim", "--model", model, "--n", "3", "--spread", "2", "--seed", "1",
+                 "--steps", "3", "--trace", trace, "--summary", summary]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(flag in err for flag in flags)
+    assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+
+
+def test_discrete_sim_may_write_its_summary_where_a_series_would_go(tmp_path):
+    # the discrete model writes no series next to its trace
+    trace, summary = tmp_path / "a.csv", tmp_path / "a.series.csv"
+    assert main(["sim", "--model", "discrete", "--n", "3", "--seed", "1", "--steps", "3",
+                 "--trace", str(trace), "--summary", str(summary)]) == 0
+    assert read_bytes(summary).startswith(b"run_id,")

@@ -21,7 +21,7 @@ from gathersim import continuous
 from gathersim.discrete import DiscreteConfig, run_discrete
 from gathersim.geometry import blind_zone_sensor, min_enclosing_disc
 from gathersim.rng import make_rng
-from gathersim.state import Constellation, Frame, Trace, init_constellation
+from gathersim.state import Constellation, Frame, Trace, draw_headings, init_constellation
 
 
 def naive_interval(positions, chi, delta, substep, nsub):
@@ -136,7 +136,7 @@ def assert_matches_plain(positions, hx, hy, delta=0.1, substep=1e-3, changes=Non
     nsub = round(1.0 / substep)
     got = np.array(positions, dtype=float)
     want = got.copy()
-    _advance_interval(got, hx, hy, delta, substep, nsub)
+    got = _advance_interval(got, hx, hy, delta, substep, nsub)
     count = plain_interval(want, hx, hy, delta * delta, substep, nsub)
     if changes is not None:
         changes[0] += count
@@ -192,7 +192,7 @@ def test_single_agent_travels_unit_distance():
     cfg = ContinuousConfig(n=1, seed=2, spread=5.0)
     rng = make_rng(cfg.seed)
     state = init_constellation(cfg, rng)
-    new = continuous_interval(state, cfg, rng)
+    new = continuous_interval(state, cfg, draw_headings(rng, cfg.n))
     assert math.isclose(np.hypot(*(new.positions[0] - state.positions[0])), 1.0,
                         abs_tol=1e-9)
 
@@ -482,7 +482,7 @@ def test_substep_level_separated_band():
         for _ in range(1000):
             d_before = np.hypot(pos[:, None, 0] - pos[None, :, 0],
                                 pos[:, None, 1] - pos[None, :, 1])
-            _advance_interval(pos, hx, hy, delta, sub, 1)
+            pos = _advance_interval(pos, hx, hy, delta, sub, 1)
             d_after = np.hypot(pos[:, None, 0] - pos[None, :, 0],
                                pos[:, None, 1] - pos[None, :, 1])
             grow = d_after - d_before
@@ -735,8 +735,9 @@ def test_repeated_additions_match_the_plain_loop(k):
 
 
 def test_run_matches_a_plain_interval_loop():
-    # one continuous_interval(state, cfg, rng) per interval, across the
-    # run's heading block of 64 intervals and the cap right after it
+    # one continuous_interval(state, cfg, draw_headings(rng, n)) per
+    # interval, across the run's heading block of 64 intervals and the cap
+    # right after it
     cfg = ContinuousConfig(n=5, spread=10.0, seed=0, max_intervals=65)
     trace, summary = run_continuous(cfg)
     rng = make_rng(cfg.seed)
@@ -746,4 +747,4 @@ def test_run_matches_a_plain_interval_loop():
         assert frame.step == k
         assert np.array_equal(frame.positions, state.positions)
         assert np.array_equal(frame.headings, state.headings)
-        state = continuous_interval(state, cfg, rng)
+        state = continuous_interval(state, cfg, draw_headings(rng, cfg.n))

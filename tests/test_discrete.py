@@ -1,16 +1,18 @@
 """Discrete jump process: law of motion, synchrony, reproducibility."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gathersim import geometry
-from gathersim.continuous import ContinuousConfig, continuous_interval, run_continuous
-from gathersim.discrete import DiscreteConfig, _far_steps, discrete_step, run_discrete
+from gathersim.continuous import ContinuousConfig, _interval, continuous_interval, run_continuous
+from gathersim.discrete import DiscreteConfig, _far_steps, _jump, discrete_step, run_discrete
 from gathersim.geometry import convex_hull, min_enclosing_disc
 from gathersim.rng import make_rng
-from gathersim.state import _BLOCK_HEADINGS, _BLOCK_STEPS, Constellation, init_constellation
+from gathersim.state import (_BLOCK_HEADINGS, _BLOCK_STEPS, Constellation, draw_headings,
+                             init_constellation)
 
 
 def test_config_validation():
@@ -77,7 +79,7 @@ def test_single_agent_always_jumps():
     rng = make_rng(cfg.seed)
     state = init_constellation(cfg, rng)
     for _ in range(10):
-        new = discrete_step(state, cfg, rng)
+        new = discrete_step(state, cfg, draw_headings(rng, cfg.n))
         assert math.isclose(np.hypot(*(new.positions[0] - state.positions[0])), 1.0,
                             abs_tol=1e-12)
         state = new
@@ -103,7 +105,7 @@ def test_movers_jump_exactly_one_unit():
     rng = make_rng(cfg.seed)
     state = init_constellation(cfg, rng)
     for _ in range(50):
-        new = discrete_step(state, cfg, rng)
+        new = discrete_step(state, cfg, draw_headings(rng, cfg.n))
         disp = np.hypot(new.positions[:, 0] - state.positions[:, 0],
                         new.positions[:, 1] - state.positions[:, 1])
         moved = disp > 0
@@ -117,7 +119,7 @@ def test_only_hull_vertices_move():
     state = init_constellation(cfg, rng)
     for _ in range(200):
         hull_idx = set(convex_hull(state.positions).indices.tolist())
-        new = discrete_step(state, cfg, rng)
+        new = discrete_step(state, cfg, draw_headings(rng, cfg.n))
         movers = set(np.nonzero(np.any(new.positions != state.positions, axis=1))[0].tolist())
         assert movers <= hull_idx
         state = new
@@ -135,13 +137,6 @@ def test_synchrony_under_index_permutation():
     permuted_state = Constellation(state.positions[perm].copy(), state.headings[perm].copy())
     permuted = discrete_step(permuted_state, cfg, headings=chi[perm])
     assert np.array_equal(permuted.positions, direct.positions[perm])
-
-
-def test_step_requires_heading_source():
-    cfg = DiscreteConfig(n=2, seed=0)
-    state = Constellation(np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        discrete_step(state, cfg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -165,6 +160,35 @@ def test_step_rejects_headings_of_the_wrong_length(step, cfg):
         step(state, cfg, headings=[0.0, 1.0])
 
 
+def move_cases():
+    """(positions, headings) frames for a model's move: a square whose agents
+    all face its centre, so that every agent is free; random frames, one
+    clustered so that its pairs start within the blind zone; and the square
+    with every agent facing outwards, so that every agent is blocked."""
+    rng = np.random.default_rng(5)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    outwards = np.arctan2(square[:, 1] - 0.5, square[:, 0] - 0.5)
+    return ([(square, outwards + math.pi)]
+            + [(rng.uniform(0.0, spread, (4, 2)), rng.uniform(0.0, 2 * math.pi, 4))
+               for spread in (3.0, 0.15)]
+            + [(square, outwards)])
+
+
+@pytest.mark.parametrize("move,cfg", [(_jump, DiscreteConfig(n=4)),
+                                      (_interval, ContinuousConfig(n=4))],
+                         ids=["discrete", "continuous"])
+def test_a_move_leaves_its_input_unchanged(move, cfg):
+    # the run loop keeps the previous positions for the moved flags; a move
+    # may return its input as it is only when no agent moves
+    unchanged = []
+    for positions, headings in move_cases():
+        before = positions.tobytes()
+        out = move(positions, cfg, np.cos(headings), np.sin(headings))
+        assert positions.tobytes() == before
+        unchanged.append(np.array_equal(out, positions))
+    assert unchanged[0] is False and unchanged[-1] is True
+
+
 @pytest.mark.parametrize("positions, headings, message", [
     (np.zeros(3), np.zeros(3), "shape"),
     (np.zeros((3, 3)), np.zeros(3), "shape"),
@@ -181,6 +205,22 @@ RUNS = pytest.mark.parametrize("run,cfg", [
     (run_discrete, DiscreteConfig(n=2, max_steps=3)),
     (run_continuous, ContinuousConfig(n=2, max_intervals=2)),
 ], ids=["discrete", "continuous"])
+
+
+@pytest.mark.parametrize("run,cfg,cap_field", [
+    (run_discrete, DiscreteConfig(n=10, spread=20.0, seed=3), "max_steps"),
+    (run_continuous, ContinuousConfig(n=3, spread=2.0, seed=1), "max_intervals"),
+], ids=["discrete", "continuous"])
+def test_final_radius_is_the_disc_of_the_last_frame(run, cfg, cap_field):
+    # converged, capped one step short of it (the last observation of a
+    # discrete run computed a disc) and capped early (it computed none)
+    steps = run(cfg, record_every=None)[1].converged_step
+    assert steps is not None and steps > 5
+    for cap in (None, steps - 1, 5):
+        capped = cfg if cap is None else replace(cfg, **{cap_field: cap})
+        trace, summary = run(capped, record_every=7)
+        assert summary.converged_step == (steps if cap is None else None)
+        assert summary.final_radius == min_enclosing_disc(trace.frames[-1].positions).radius
 
 
 def test_run_single_agent_converges_immediately():
@@ -327,10 +367,10 @@ def test_trace_frame_zero_is_initial():
 
 
 def reference_run(cfg, record_every=1, initial=None):
-    """run_discrete as a plain loop: one discrete_step(state, cfg, rng) per
-    step, and the bounding box, then the disc, checked at every step.
-    Returns the frames as (step, positions, headings, moved) and the
-    summary's (converged_step, final_radius)."""
+    """run_discrete as a plain loop: one discrete_step(state, cfg,
+    draw_headings(rng, n)) per step, and the bounding box, then the disc,
+    checked at every step. Returns the frames as (step, positions, headings,
+    moved) and the summary's (converged_step, final_radius)."""
     rng = make_rng(cfg.seed)
     state = initial if initial is not None else init_constellation(cfg, rng)
     frames = []
@@ -348,7 +388,7 @@ def reference_run(cfg, record_every=1, initial=None):
         if last:
             break
         prev = pos
-        state = discrete_step(state, cfg, rng)
+        state = discrete_step(state, cfg, draw_headings(rng, cfg.n))
         k += 1
     if radius is None:
         radius = min_enclosing_disc(state.positions).radius

@@ -457,6 +457,94 @@ def test_sensor_paths_on_every_frame_of_a_run(sensor_path):
         assert np.array_equal(blocked, ~frame.moved)
 
 
+# ------------------------------------- the sensor and the normal cones
+
+# Free arcs narrower than this are not probed at their middle; the headings
+# probed past an arc's ends lie this far outside it.
+ARC_MIN = 1e-4
+ARC_PAST = 1e-6
+
+
+def free_arcs(pts):
+    """The strict hull of pts and, per vertex, the open arc of headings at
+    which every other point lies strictly ahead: (theta_in - pi/2,
+    theta_out + pi/2), between the normals of the vertex's two edges (the
+    outgoing edge at angle theta_out, the incoming one reversed at theta_in).
+    Its width is pi minus the interior angle, so over the hull the widths
+    sum to 2 pi."""
+    hull = convex_hull(pts)
+    out_edge = np.roll(hull.vertices, -1, axis=0) - hull.vertices
+    theta_out = np.arctan2(out_edge[:, 1], out_edge[:, 0])
+    theta_in = theta_out + corner_angles(hull)
+    return hull, theta_in - math.pi / 2, theta_out + math.pi / 2
+
+
+def inside_margin(pts, hull):
+    """Each point's least distance inside the hull's edge lines."""
+    v = hull.vertices
+    e = np.roll(v, -1, axis=0) - v
+    rel = pts[:, None, :] - v[None, :, :]
+    cross = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
+    return (cross / np.hypot(e[:, 0], e[:, 1])).min(axis=1)
+
+
+def blocked_at(pts, chi):
+    return blocked_agents(pts, np.cos(chi), np.sin(chi))
+
+
+def check_normal_cones(pts, pair=()):
+    """The sensor against the normal-cone identity: a strict hull vertex is
+    free in the middle of its free arc and blocked just past either end;
+    an agent inside the hull by a margin, and either agent of a coincident
+    pair, is blocked at 64 evenly spaced headings. Both agents of `pair`
+    share one hull vertex and are probed at its headings too. Returns how
+    many vertices were probed in their arc and how many agents lay inside."""
+    pair = list(pair)
+    hull, lo, hi = free_arcs(pts)
+    idx = hull.indices
+    coincident = np.zeros(len(pts), dtype=bool)
+    coincident[pair] = True
+    wide = (hi - lo > ARC_MIN) & ~coincident[idx]
+    chi = np.zeros(len(pts))
+    for heading, free in (((lo + hi) / 2, wide), (lo - ARC_PAST, None), (hi + ARC_PAST, None)):
+        chi[idx] = heading
+        chi[pair] = heading[np.isin(idx, pair)]
+        blocked = blocked_at(pts, chi)
+        if free is None:
+            assert blocked[idx].all()
+        else:
+            assert not blocked[idx[free]].any()
+        assert blocked[coincident].all()
+    interior = inside_margin(pts, hull) > 1e-6
+    for k in range(64):
+        blocked = blocked_at(pts, np.full(len(pts), 2 * math.pi * k / 64))
+        assert blocked[interior | coincident].all()
+    return int(wide.sum()), int(interior.sum())
+
+
+@pytest.mark.parametrize("n", [3, 10, geometry._DENSE_MAX_N + 1, 300])
+def test_sensor_paths_free_exactly_in_the_normal_cones(sensor_path, n):
+    # stronger than "movers are hull vertices" (criterion 7), which checks
+    # only one direction
+    for seed in range(3):
+        pts = random_case(seed, n)[0]
+        hull = convex_hull(pts)
+        probed, inside = check_normal_cones(pts)
+        assert inside == n - len(hull.indices)
+        assert probed >= len(hull.indices) - 1
+
+
+def test_sensor_paths_block_a_coincident_pair_at_a_hull_vertex(sensor_path):
+    pts = random_case(9, 120)[0]
+    hull = convex_hull(pts)
+    vertex = int(hull.indices[0])
+    agent = int(np.argmax(inside_margin(pts, hull)))
+    pts[agent] = pts[vertex]
+    assert np.isin([agent, vertex], convex_hull(pts).indices).sum() == 1
+    probed, inside = check_normal_cones(pts, (agent, vertex))
+    assert probed == len(hull.indices) - 1 and inside == 120 - len(hull.indices) - 1
+
+
 @pytest.mark.parametrize("case", [random_case(12, 5000), circle_case(5000)],
                          ids=["uniform", "all-free"])
 def test_sensor_memory_is_bounded_without_blind_zone(case):
