@@ -86,15 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_outputs(outputs):
     """Fail before the run, not after it: OSError unless each output's
-    directory exists, ValueError if two outputs name the same file, where the
-    later write would silently replace the earlier one. outputs maps each
-    flag to its path."""
+    directory exists and the output is not itself a directory, ValueError if
+    two outputs name the same file, where the later write would silently
+    replace the earlier one. outputs maps each flag to its path."""
     seen = {}
     for flag, path in outputs.items():
-        directory = Path(path).parent
-        if not directory.is_dir():
-            raise OSError(f"cannot write {path}: {directory} is not an existing directory")
-        other = seen.setdefault(Path(path).resolve(), flag)
+        path = Path(path)
+        if not path.parent.is_dir():
+            raise OSError(f"cannot write {path}: {path.parent} is not an existing directory")
+        if path.is_dir():
+            raise OSError(f"cannot write {path}: it is a directory")
+        other = seen.setdefault(path.resolve(), flag)
         if other != flag:
             raise ValueError(f"{other} and {flag} name the same file {path}")
 
@@ -121,7 +123,7 @@ def _cmd_sweep(args) -> int:
                          max_steps=args.steps)
     if len(config.n_values) < 2:
         raise ValueError("a sweep fits a line over n and needs >= 2 agent counts")
-    _check_outputs({"--out": args.out})
+    _check_outputs({"--out": args.out, "the fit JSON of --out": fit_json_path_for(args.out)})
     summaries = run_sweep(config)
     write_summaries_csv(summaries, args.out)
     fit, n_means, excluded = fit_sweep(summaries)

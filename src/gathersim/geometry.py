@@ -218,7 +218,7 @@ def min_enclosing_disc(points) -> Disc:
     Randomized incremental construction with a fixed shuffle seed: expected
     O(n), deterministic for a given input, supported by at most 3 points.
     """
-    pts = [(float(x), float(y)) for x, y in as_points(points)]
+    pts = as_points(points).tolist()
     random.Random(_DISC_SHUFFLE_SEED).shuffle(pts)
     disc = None
     for k, p in enumerate(pts):

@@ -23,7 +23,9 @@ class Constellation:
     `discrete_step` and `continuous_interval` map to the next one, and a
     run's optional start.
 
-    positions: (n, 2) float64; headings: (n,) radians in [0, 2*pi).
+    positions: (n, 2) float64; headings: (n,) radians, all finite (a
+    ValueError otherwise). A step takes any finite headings; a run's start
+    needs them in [0, 2*pi), since frame 0 records them as given.
     """
 
     positions: np.ndarray
@@ -36,6 +38,8 @@ class Constellation:
             raise ValueError("positions must have shape (n, 2)")
         if self.headings.shape != (len(self.positions),):
             raise ValueError("headings length must match positions")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.headings).all()):
+            raise ValueError("positions and headings must be finite")
 
     @property
     def n(self) -> int:
@@ -88,14 +92,12 @@ def draw_headings(rng: np.random.Generator, n: int) -> np.ndarray:
 def apply_move(move, state: Constellation, config, headings) -> Constellation:
     """One model step by hand: `move(positions, config, hx, hy)`, the
     model's move that the run loop calls, applied to `state` under the
-    caller's `headings`, checked to be one finite value per agent."""
-    headings = np.asarray(headings, dtype=float)
-    if headings.shape != (state.n,):
-        raise ValueError("headings must have one entry per agent")
-    if not np.isfinite(headings).all():
-        raise ValueError("headings must be finite")
-    return Constellation(move(state.positions, config, np.cos(headings), np.sin(headings)),
-                         headings)
+    caller's `headings`. The state they make is checked as any
+    `Constellation` is before the move runs, so a state whose arrays were
+    written since it was built is checked again."""
+    step = Constellation(state.positions, headings)
+    return Constellation(move(step.positions, config, np.cos(step.headings),
+                              np.sin(step.headings)), step.headings)
 
 
 def init_constellation(config, rng: np.random.Generator) -> Constellation:
@@ -132,8 +134,10 @@ def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
     input array when no agent moves, and never changes it in place. The run
     starts from `initial` if given, else from the seeded uniform placement;
     `initial` takes no draws, so the generator then starts at the seed's
-    first draw, and a non-finite position or a heading outside [0, 2*pi) in
-    it is a ValueError before the first observation.
+    first draw. It is built again as a `Constellation`, as a step builds
+    its state, so arrays written since it was built are checked too; a
+    heading outside [0, 2*pi) in it is a ValueError before the first
+    observation.
     `observe(trace, positions, k)` returns whether the run has gathered;
     the summary's final radius is the enclosing disc of the last positions,
     computed once after the loop. With an integer `record_every` the trace
@@ -144,14 +148,12 @@ def run_loop(config, cap: int, move, observe, record_every: int | None = 1,
     """
     record_every = None if record_every is None else check_integer("record_every", record_every, 1)
     rng = make_rng(config.seed)
-    state = initial if initial is not None else init_constellation(config, rng)
+    state = (init_constellation(config, rng) if initial is None
+             else Constellation(initial.positions, initial.headings))
     if state.n != config.n:
         raise ValueError("initial constellation size does not match config.n")
-    if initial is not None and not (np.isfinite(initial.positions).all()
-                                    and ((initial.headings >= 0.0)
-                                         & (initial.headings < TWO_PI)).all()):
-        raise ValueError("initial constellation has NaN or infinite positions, "
-                         "or headings outside [0, 2*pi)")
+    if not ((state.headings >= 0.0) & (state.headings < TWO_PI)).all():
+        raise ValueError("initial constellation has headings outside [0, 2*pi)")
     positions = prev_positions = state.positions
     headings = state.headings
     trace = Trace()

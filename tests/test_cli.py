@@ -273,6 +273,38 @@ def test_an_output_under_a_file_exits_3_before_the_run(tmp_path, monkeypatch, ca
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("model, directory", [
+    ("discrete", "s.csv"),
+    ("discrete", "t.csv"),
+    ("continuous", "t.series.csv"),
+], ids=["summary", "trace", "continuous-series"])
+def test_sim_rejects_an_output_that_is_a_directory(model, directory, tmp_path, monkeypatch,
+                                                   capsys):
+    # the run used to finish and write the other outputs before this write failed
+    monkeypatch.setattr(harness, "run_discrete", _no_run)
+    monkeypatch.setattr(harness, "run_continuous", _no_run)
+    (tmp_path / directory).mkdir()
+    assert main(["sim", "--model", model, "--n", "3", "--spread", "2", "--seed", "1",
+                 "--steps", "3", "--trace", str(tmp_path / "t.csv"),
+                 "--summary", str(tmp_path / "s.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and str(tmp_path / directory) in err
+    assert [path.name for path in tmp_path.iterdir()] == [directory]
+
+
+@pytest.mark.parametrize("directory", ["sw.csv", "sw.fit.json"], ids=["csv", "fit-json"])
+def test_sweep_rejects_an_output_that_is_a_directory(directory, tmp_path, monkeypatch, capsys):
+    # the fit path used to go unchecked: every cell ran and the CSV was
+    # written before the fit JSON failed to open
+    monkeypatch.setattr(harness, "run_discrete", _no_run)
+    (tmp_path / directory).mkdir()
+    assert main(["sweep", "--model", "discrete", "--n-list", "4,8", "--reps", "1",
+                 "--base-seed", "1", "--out", str(tmp_path / "sw.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and str(tmp_path / directory) in err
+    assert [path.name for path in tmp_path.iterdir()] == [directory]
+
+
 @pytest.mark.parametrize("model, trace, summary, flags", [
     ("discrete", "b.csv", "b.csv", ["--trace", "--summary"]),
     ("discrete", "b.csv", "sub/../b.csv", ["--trace", "--summary"]),

@@ -562,10 +562,11 @@ def test_run_two_agents_converges_well_under_bound():
     ([[0.0, 0.0], [1.0, math.inf]], [0.0, 0.0]),
 ])
 def test_run_rejects_a_non_finite_initial(positions, headings):
-    # a non-finite position used to fail only inside the observer's disc
-    initial = Constellation(positions, headings)
-    with pytest.raises(ValueError, match="initial"):
-        run_continuous(ContinuousConfig(n=2, max_intervals=3), initial=initial)
+    # a non-finite position used to fail only inside the observer's disc;
+    # such a start is now rejected when it is built
+    with pytest.raises(ValueError, match="finite"):
+        run_continuous(ContinuousConfig(n=2, max_intervals=3),
+                       initial=Constellation(positions, headings))
 
 
 def test_run_series_and_bands():

@@ -139,16 +139,23 @@ def test_synchrony_under_index_permutation():
     assert np.array_equal(permuted.positions, direct.positions[perm])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where,bad", [("heading", math.nan), ("heading", math.inf),
+                                       ("position", math.nan), ("position", math.inf)],
+                         ids=["nan", "inf", "position-nan", "position-inf"])
 @pytest.mark.parametrize("step,cfg", [(discrete_step, DiscreteConfig(n=3)),
                                       (continuous_interval, ContinuousConfig(n=3))],
                          ids=["discrete", "continuous"])
-def test_step_rejects_non_finite_headings(step, cfg, bad):
+def test_step_rejects_non_finite_headings(step, cfg, where, bad):
     # a NaN heading fails every sensor comparison, so the agent would count
-    # as free and move to NaN
+    # as free and move to NaN; a NaN position used to be moved by the
+    # discrete step and to fail inside the continuous repeat counts. The
+    # position is written after the state was built, so the step itself
+    # must check it.
     state = Constellation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3))
+    if where == "position":
+        state.positions[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        step(state, cfg, headings=[bad, 0.0, 1.0])
+        step(state, cfg, headings=[bad if where == "heading" else 0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("step,cfg", [(discrete_step, DiscreteConfig(n=3)),
@@ -156,7 +163,7 @@ def test_step_rejects_non_finite_headings(step, cfg, bad):
                          ids=["discrete", "continuous"])
 def test_step_rejects_headings_of_the_wrong_length(step, cfg):
     state = Constellation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3))
-    with pytest.raises(ValueError, match="one entry per agent"):
+    with pytest.raises(ValueError, match="headings length"):
         step(state, cfg, headings=[0.0, 1.0])
 
 
@@ -246,10 +253,10 @@ def test_run_close_pair_converges_at_step_zero():
     ([[0.0, 0.0], [-math.inf, 1.0]], [0.0, 0.0]),
 ])
 def test_run_rejects_a_non_finite_initial(positions, headings):
-    # a NaN heading used to reach frame 0 of a run reported as converged
-    initial = Constellation(positions, headings)
-    with pytest.raises(ValueError, match="initial"):
-        run_discrete(DiscreteConfig(n=2, max_steps=3), initial=initial)
+    # a NaN heading used to reach frame 0 of a run reported as converged;
+    # such a start is now rejected when it is built
+    with pytest.raises(ValueError, match="finite"):
+        run_discrete(DiscreteConfig(n=2, max_steps=3), initial=Constellation(positions, headings))
 
 
 @RUNS
@@ -258,6 +265,16 @@ def test_run_rejects_an_initial_heading_outside_the_circle(run, cfg, heading):
     # such a heading used to be recorded in frame 0 as given
     initial = Constellation([[0.0, 0.0], [5.0, 5.0]], [heading, 0.0])
     with pytest.raises(ValueError, match="initial"):
+        run(cfg, initial=initial)
+
+
+@RUNS
+def test_run_checks_an_initial_written_after_it_was_built(run, cfg):
+    # a run builds its start again, as a step does its state, so a position
+    # made NaN in place does not reach the observer
+    initial = Constellation([[0.0, 0.0], [5.0, 5.0]], [0.0, 1.0])
+    initial.positions[0, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
         run(cfg, initial=initial)
 
 
