@@ -61,9 +61,11 @@ all of them when no pair has a mover) and applies those substeps as k more
 `x += step * h` additions on the rows of F, accumulated by numpy in chunks
 (`_repeat_add`): the same float operations in the same order, so the
 positions are bit-identical to sensing every substep. The counts run as
-scalar Python, mover by mover in index order, and stop at the first 0; at
-the n this runs at, numpy calls on arrays that small cost more than scalar
-float arithmetic.
+scalar Python and stop at the first 0: first the pair whose count ended the
+previous count of the interval at 0, if it still has a mover, then mover by
+mover in index order. A count capped lower can come out larger, so this
+order changes which substeps are sensed, but any valid count gives the
+same positions bit for bit.
 
 The rounding guard. Let u = 2^-53 and X = 2 max|x| + 2 at the start of the
 interval. The config enforces nsub <= 2^51 (a substep of at least 2^-51), so
@@ -81,13 +83,19 @@ term, so g = e + left * rho covers the decision at the sensed substep, the
 decision at substep t and the evaluation of the model. At ordinary
 coordinates e is ~1e-13 and g ~1e-11, far below one substep.
 
-The integrator, `_advance_interval`, is vectorized over agents with numpy;
-it senses each sensed substep with one `geometry.blind_zone_sensor` call,
-reads the same pair terms (`geometry._pair_terms`) at the trial positions
-of its hold rounds, only moves positions, and leaves the moved flags to the
-run loop, which derives them from the position change. A traced run
-records the Lyapunov observable once per interval in `Trace.series`; an
-untraced run computes only the enclosing disc its convergence test needs.
+The integrator, `_advance_interval`, senses each sensed substep with one
+`geometry.blind_zone_sensor` call, dense over agents in numpy, and lists
+the pairs within delta once. Its hold rounds (`_hold_rounds`) and counts
+run as scalar Python over those pairs, with the sensor's float expressions
+on the trial positions; at the n this runs at, numpy calls on (n, n) arrays
+cost more than scalar arithmetic on the few pairs within delta. It only
+moves positions, and leaves the moved flags to the run loop, which derives
+them from the position change. A traced run records the Lyapunov
+observable once per interval in `Trace.series`. An untraced run needs only
+whether the enclosing radius is below delta, and computes the disc only
+once the bounding box's half-width is at most delta * `_DISC_EPS`: the
+radius is at least the half-width divided by that factor (tested in
+`test_disc_radius_bounds_the_box_gate`).
 """
 
 import math
@@ -96,7 +104,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _pair_terms, as_points, blind_zone_sensor, min_enclosing_disc
+from .geometry import _DISC_EPS, as_points, blind_zone_sensor, min_enclosing_disc
 from .rng import SEED_LIMIT, check_integer
 from .state import Constellation, RunSummary, Trace, apply_move, run_loop
 
@@ -249,42 +257,85 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
     drift = 8.0 * _UNIT_ROUNDOFF * coord  # rho, one substep's rounding of a pair difference
     h = heading.tolist()
     steps = move.tolist()
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    last = None  # the pair that ended the previous count at 0
     left = nsub
     while left:
         blocked, near = blind_zone_sensor(pos, hx, hy, delta2)
-        free = ~blocked
-        guard = np.count_nonzero(near) > n  # some pair of distinct agents within delta
-        rounds = []
-        while True:
-            new = np.where(free[:, None], pos + move, pos)
-            if not guard:
-                break
-            rounds.append(free.tolist())
-            tdot, te2 = _pair_terms(new, hx, hy)
-            cross = near & (te2 > delta2)
-            if not cross.any():
-                break
-            # hold[i, j]: i moves and ends with j in its closed back half-plane
-            hold = cross & free[:, None] & (tdot <= 0.0)
-            neither = cross & ~(hold | hold.T)
-            free &= ~(hold | neither).any(axis=1)
-        if not free.any():
+        mover = (~blocked).tolist()
+        if True not in mover:
             break
-        # the least exact count over the pairs with a mover, each pair once
-        k = left - 1
-        mover = free.tolist()
         p = pos.tolist()
-        g = slack + left * drift
-        for i, j in ((i, j) for i in range(n) if mover[i] for j in range(n)
-                     if j != i and not (mover[j] and j < i)):
-            k = _pair_repeats(i, j, p, h, steps, mover, rounds, delta, g, k)
-            if not k:
+        first, second = (near & upper).nonzero()
+        rounds = _hold_rounds(list(zip(first.tolist(), second.tolist())), p, h, steps,
+                              mover, delta2)
+        if rounds:
+            mover = rounds[-1]
+            if True not in mover:
                 break
+        # the least exact count over the pairs with a mover, the last zero first
+        k = left - 1
+        g = slack + left * drift
+        if last is not None and (mover[last[0]] or mover[last[1]]):
+            k = _pair_repeats(*last, p, h, steps, mover, rounds, delta, g, k)
+        if k:
+            for i, j in ((i, j) for i in range(n) if mover[i] for j in range(n)
+                         if j != i and not (mover[j] and j < i)):
+                k = _pair_repeats(i, j, p, h, steps, mover, rounds, delta, g, k)
+                if not k:
+                    last = (i, j)
+                    break
+        free = np.array(mover)
+        new = np.where(free[:, None], pos + move, pos)
         if k:
             new[free] = _repeat_add(new[free], move[free], k)
         pos = new
         left -= 1 + k
     return pos
+
+
+def _hold_rounds(pairs, p, h, steps, mover, delta2):
+    """The free flags of every hold round of the sliding rule over the
+    pairs (i < j) within delta at the sensed positions p, starting from the
+    sensor's flags mover; empty when no pair is within delta. The last
+    round holds nobody, so its flags are the final movers. A pair crosses
+    when its trial difference d = new_j - new_i has |d|^2 > delta2 (the
+    sensor's test), and each of its free members is held when the other
+    lies in its closed back half-plane, h_i . d <= 0 and h_j . -d <= 0
+    (both when neither does); every decision of a round reads the flags
+    the round started with."""
+    rounds = []
+    while pairs:
+        rounds.append(mover)
+        held = []
+        for i, j in pairs:
+            free_i = mover[i]
+            free_j = mover[j]
+            if not (free_i or free_j):
+                continue
+            xi, yi = p[i]
+            xj, yj = p[j]
+            if free_i:
+                xi += steps[i][0]
+                yi += steps[i][1]
+            if free_j:
+                xj += steps[j][0]
+                yj += steps[j][1]
+            dx = xj - xi
+            dy = yj - yi
+            if dx * dx + dy * dy > delta2:
+                back_i = free_i and h[i][0] * dx + h[i][1] * dy <= 0.0
+                back_j = free_j and h[j][0] * -dx + h[j][1] * -dy <= 0.0
+                if back_i or not back_j:
+                    held.append(i)
+                if back_j or not back_i:
+                    held.append(j)
+        if not held:
+            break
+        mover = mover.copy()
+        for i in held:
+            mover[i] = False
+    return rounds
 
 
 def _repeat_add(x, d, k):
@@ -358,9 +409,15 @@ def run_continuous(config: ContinuousConfig, record_every: int | None = 1,
     record_every=None the run records nothing its summary does not carry,
     computes no Lyapunov sum, and frames and series stay empty."""
     def observe(trace, positions, k):
-        radius = min_enclosing_disc(positions).radius
         if record_every is None:
-            return radius < config.delta
+            # the box gate: the disc has half <= radius * _DISC_EPS, so
+            # half > delta * _DISC_EPS gives radius > delta; half equal to
+            # it would not, where both products round to the same float
+            half = float((positions.max(axis=0) - positions.min(axis=0)).max()) / 2.0
+            if half > config.delta * _DISC_EPS:
+                return False
+            return min_enclosing_disc(positions).radius < config.delta
+        radius = min_enclosing_disc(positions).radius
         value, confined = _lyapunov(positions, config.delta, radius)
         trace.series.append((k, radius, value, confined))
         return confined

@@ -168,20 +168,14 @@ def blind_zone_sensor(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
     blocked[i] is True iff some agent j with squared distance > delta2 lies
     in agent i's closed back half-plane (dot product <= 0). near[i, j] is
     True iff the squared distance is <= delta2, so always on the diagonal.
-    The kernel is dense, built from the pair terms of _pair_terms.
+    The kernel is dense, with (n, n) temporaries: dot[i, j] = h_i . (p_j -
+    p_i) and d2[i, j] = |p_j - p_i|^2.
     """
-    dot, d2 = _pair_terms(positions, hx, hy)
-    near = d2 <= delta2
-    return (~near & (dot <= 0.0)).any(axis=1), near
-
-
-def _pair_terms(positions, hx, hy) -> tuple[np.ndarray, np.ndarray]:
-    """The dense pair terms of the blind-zone sensor, (n, n) each:
-    dot[i, j] = h_i . (p_j - p_i), whose sign is the back-half-plane test,
-    and d2[i, j] = |p_j - p_i|^2, the squared distance."""
     dx = positions[None, :, 0] - positions[:, None, 0]
     dy = positions[None, :, 1] - positions[:, None, 1]
-    return hx[:, None] * dx + hy[:, None] * dy, dx * dx + dy * dy
+    dot = hx[:, None] * dx + hy[:, None] * dy
+    near = dx * dx + dy * dy <= delta2
+    return (~near & (dot <= 0.0)).any(axis=1), near
 
 
 def _witness_blocked(positions, hx, hy) -> np.ndarray:

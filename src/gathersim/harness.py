@@ -1,9 +1,15 @@
 """Monte-Carlo experiment orchestration: seeded sweeps over agent counts,
 the pooled map that runs them and any other ensemble (`run_many`), and
 least-squares trend fitting of their convergence steps.
+
+`run_many` forks its workers itself and talks to them over pipes, one run
+index out and one pickled reply back at a time; it does not use
+`multiprocessing`, whose import and pool lifecycle cost each pooled sweep
+about 15 ms. A worker leaves only through `os._exit`.
 """
 
 import os
+import pickle
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -80,9 +86,7 @@ def _ensemble_jobs(runs: int) -> int:
     """Worker processes for an ensemble of `runs` runs: the usable CPUs (the
     affinity mask where the platform has one), at most one per run, and 1
     where processes cannot be forked."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -95,27 +99,123 @@ def run_many(runs: Sequence[tuple]) -> list[RunSummary]:
     """The summaries of untraced runs of (config, run function) pairs, as
     `model_run` returns them, in input order.
 
-    The runs go to a pool of forked workers, one per usable CPU (the
-    process's affinity mask) up to one per run, largest n first (later runs
-    first among equal n); with one usable CPU, or no `fork` start method,
-    they run in this process, and an empty ensemble starts no pool. A config
-    holds its run's seed, so the summaries are the same for every worker
-    count. A run's exception reaches the caller, and no worker outlives the
-    call.
+    The runs go to forked workers, one per usable CPU (the process's
+    affinity mask) up to one per run, which take one run at a time, largest
+    n first (later runs first among equal n), each the next as it finishes
+    one; with one usable CPU, or no `os.fork`, they run in this process,
+    and an empty ensemble starts no process. A config holds its run's seed,
+    so the summaries are the same for every worker count. A run's exception
+    reaches the caller, a worker that ends without a result is a
+    RuntimeError naming its run, and no worker outlives the call.
     """
     jobs = _ensemble_jobs(len(runs))
     if jobs <= 1:
         return [_run_untraced(config, run) for config, run in runs]
-    import multiprocessing
+    # imported here: a sweep in process needs neither
+    import select
+    import signal
 
-    order = sorted(range(len(runs)), key=lambda i: (runs[i][0].n, i), reverse=True)
-    # fork, not spawn: a spawned worker re-imports numpy and gathersim,
-    # which takes about as long as a small sweep. The pool forks its workers
-    # before it starts its helper threads. Leaving the block terminates and
-    # joins the workers, on success and on a run's exception alike.
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        done = pool.starmap(_run_untraced, [runs[i] for i in order], chunksize=1)
-    return [summary for _, summary in sorted(zip(order, done))]
+    todo = sorted(range(len(runs)), key=lambda i: (runs[i][0].n, i))
+    summaries = [None] * len(runs)
+    fds = []  # the pipe ends this process holds
+    pids = []
+    busy = {}  # a worker's result pipe -> (its task pipe, the run it has)
+    poller = select.poll()
+    try:
+        # fork, not spawn: a spawned worker re-imports numpy and gathersim,
+        # which takes about as long as a small sweep
+        for _ in range(jobs):
+            tasks = os.pipe()
+            fds += tasks
+            results = os.pipe()
+            fds += results
+            pid = os.fork()
+            if pid == 0:
+                _serve(runs, tasks[0], results[1], fds)
+            pids.append(pid)
+            for fd in (tasks[0], results[1]):
+                fds.remove(fd)
+                os.close(fd)
+            poller.register(results[0], select.POLLIN)
+            busy[results[0]] = (tasks[1], _send(tasks[1], todo.pop()))
+        while busy:
+            for fd, _ in poller.poll():
+                task_fd, i = busy.pop(fd)
+                summaries[i] = _receive(fd, i, runs[i][0])
+                if todo:
+                    busy[fd] = (task_fd, _send(task_fd, todo.pop()))
+                else:
+                    poller.unregister(fd)
+        return summaries
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(runs, tasks, results, inherited):
+    """The loop of a forked worker: read a run index from the tasks pipe,
+    run it untraced and write back (True, summary), or (False, exception),
+    pickled and prefixed by its length, until the pipe closes. It closes
+    the other pipe ends it inherited, and it leaves only through os._exit,
+    so it never returns into the caller's stack, runs no atexit handler and
+    flushes no inherited buffer."""
+    code = 1
+    try:
+        for fd in inherited:
+            if fd not in (tasks, results):
+                os.close(fd)
+        while index := _read(tasks, 8):
+            config, run = runs[int.from_bytes(index, "little")]
+            try:
+                reply = (True, _run_untraced(config, run))
+            except Exception as exc:
+                reply = (False, exc)
+            data = pickle.dumps(reply)
+            _write(results, len(data).to_bytes(8, "little") + data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _send(fd, i: int) -> int:
+    """Hand run i to the worker that reads the task pipe fd; returns i."""
+    _write(fd, i.to_bytes(8, "little"))
+    return i
+
+
+def _receive(fd, i: int, config) -> RunSummary:
+    """The summary of run i from its worker's result pipe fd; the run's
+    exception is raised again, and a worker that closed the pipe without a
+    whole reply is a RuntimeError."""
+    size = int.from_bytes(_read(fd, 8), "little")
+    data = _read(fd, size)
+    if not size or len(data) < size:
+        raise RuntimeError(f"run {i} (n={config.n}, seed={config.seed}) ended its worker "
+                           f"without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _read(fd, size: int) -> bytes:
+    """size bytes from fd, or fewer where the pipe closes first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _write(fd, data: bytes):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def run_sweep(config: SweepConfig) -> list[RunSummary]:

@@ -23,8 +23,8 @@ class Constellation:
     `discrete_step` and `continuous_interval` map to the next one, and a
     run's optional start.
 
-    positions: (n, 2) float64; headings: (n,) radians, all finite (a
-    ValueError otherwise). A step takes any finite headings; a run's start
+    positions: (n, 2) float64 with n >= 1; headings: (n,) radians, all
+    finite (a ValueError otherwise). A step takes any finite headings; a run's start
     needs them in [0, 2*pi), since frame 0 records them as given.
     """
 
@@ -36,6 +36,9 @@ class Constellation:
         self.headings = np.asarray(self.headings, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must have shape (n, 2)")
+        if len(self.positions) == 0:
+            # both models need n >= 1; an empty state has no enclosing disc
+            raise ValueError("positions must hold at least one agent")
         if self.headings.shape != (len(self.positions),):
             raise ValueError("headings length must match positions")
         if not (np.isfinite(self.positions).all() and np.isfinite(self.headings).all()):

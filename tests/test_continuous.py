@@ -691,6 +691,19 @@ def test_untraced_run_records_only_its_summary(cap):
         assert trace.series == [] and trace.frames == []
 
 
+@pytest.mark.parametrize("n,spread", [(5, 5.0), (10, 5.0), (3, 0.3), (5, 0.3), (10, 0.3)])
+def test_untraced_box_gate_never_changes_a_result(n, spread):
+    # an untraced run skips the disc while the bounding box is wider than
+    # the blind zone; a traced run computes it on every interval
+    for seed in range(20):
+        cfg = ContinuousConfig(n=n, delta=0.1, spread=spread, seed=seed)
+        _, summary = run_continuous(cfg, record_every=None)
+        _, traced = run_continuous(cfg, record_every=10 ** 6)
+        assert summary.converged_step is not None
+        assert (summary.converged_step, summary.final_radius) == (traced.converged_step,
+                                                                  traced.final_radius)
+
+
 def test_run_deterministic():
     cfg = ContinuousConfig(n=6, delta=0.1, spread=4.0, seed=31, max_intervals=3000)
     t1, s1 = run_continuous(cfg)

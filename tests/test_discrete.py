@@ -200,6 +200,7 @@ def test_a_move_leaves_its_input_unchanged(move, cfg):
     (np.zeros(3), np.zeros(3), "shape"),
     (np.zeros((3, 3)), np.zeros(3), "shape"),
     (np.zeros((3, 2)), np.zeros(2), "headings length"),
+    (np.zeros((0, 2)), np.zeros(0), "at least one agent"),
 ])
 def test_constellation_rejects_mismatched_shapes(positions, headings, message):
     with pytest.raises(ValueError, match=message):

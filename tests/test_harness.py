@@ -1,7 +1,9 @@
 """Sweep orchestration, seed derivation and fitting."""
 
-import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,18 +176,23 @@ def test_sweep_config_accepts_numpy_integers():
 
 
 def assert_no_child_process():
-    """No child of this process is left, running or unreaped; checked before
-    `active_children()`, which would reap exited workers itself."""
+    """No child of this process is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert multiprocessing.active_children() == []
 
 
 def fail_at_n10(config, **options):
-    """`run_discrete`, except that its runs at n = 10 raise; module level, so
-    a pool can send it to its workers."""
+    """`run_discrete`, except that its runs at n = 10 raise."""
     if config.n == 10:
         raise ValueError(f"run (n={config.n}, seed={config.seed}) failed")
+    return run_discrete(config, **options)
+
+
+def exit_at_n10(config, **options):
+    """`run_discrete`, except that its runs at n = 10 end the process at
+    once, as a killed worker would, without a result."""
+    if config.n == 10:
+        os._exit(3)
     return run_discrete(config, **options)
 
 
@@ -247,12 +254,22 @@ def test_run_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
     assert_no_child_process()
 
 
+def test_a_worker_that_ends_without_a_result_names_its_run(monkeypatch):
+    use_jobs(monkeypatch, 2)
+    runs = [(DiscreteConfig(n=n, seed=seed, max_steps=500), exit_at_n10)
+            for n in (5, 20, 10) for seed in (0, 1)]
+    # the n = 10 runs are 4 and 5; whichever a worker took first ends the map
+    with pytest.raises(RuntimeError, match=r"run [45] \(n=10, seed=[01]\) ended its worker"):
+        run_many(runs)
+    assert_no_child_process()
+
+
 def test_run_many_with_one_worker_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker ensemble started a pool")
+        raise AssertionError("a one-worker ensemble forked a worker")
 
     use_jobs(monkeypatch, 1)
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     assert [s.n for s in run_many(MIXED_RUNS)] == [20, 3, 5, 2, 20]
     cfg = SweepConfig(model="discrete", n_values=[2, 3], reps=2, base_seed=5, max_steps=50)
     assert [s.n for s in run_sweep(cfg)] == [2, 2, 3, 3]
@@ -261,14 +278,14 @@ def test_run_many_with_one_worker_starts_no_pool(monkeypatch):
 def test_an_empty_ensemble_returns_no_summaries_and_starts_no_pool(monkeypatch):
     # an empty ensemble used to size its pool to 0 workers, and Pool(0) raises
     def no_pool(*args, **kwargs):
-        raise AssertionError("an empty ensemble started a pool")
+        raise AssertionError("an empty ensemble forked a worker")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
     assert run_many([]) == []
 
 
 def test_ensemble_jobs_is_bounded_by_the_runs_and_the_usable_cpus(monkeypatch):
-    # only the helper runs here: no pool is started at these counts
+    # only the helper runs here: no worker is forked at these counts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4096)), raising=False)
     assert harness._ensemble_jobs(1) == 1
     assert harness._ensemble_jobs(160) == 160
@@ -284,8 +301,25 @@ def test_ensemble_jobs_is_bounded_by_the_runs_and_the_usable_cpus(monkeypatch):
     assert harness._ensemble_jobs(160) == 1
     # a platform without fork runs the ensemble in process
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert harness._ensemble_jobs(160) == 1
+
+
+def test_a_pooled_sweep_never_imports_multiprocessing(tmp_path):
+    # run_many forks its own workers: importing multiprocessing and running
+    # its Pool cost each pooled sweep about 15 ms
+    code = (
+        "import sys\n"
+        "from gathersim import cli, harness\n"
+        "harness._ensemble_jobs = lambda runs: 2\n"
+        "assert cli.main(['sweep', '--model', 'continuous', '--n-list', '3,5', '--reps', '2',\n"
+        "                 '--spread', '2', '--base-seed', '5', '--out', 'sweep.csv']) == 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    path = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True)
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 5
 
 
 def test_fit_sweep_excludes_nonconverged():
