@@ -168,8 +168,9 @@ def blind_zone_sensor(positions: np.ndarray, hx: np.ndarray, hy: np.ndarray,
     blocked[i] is True iff some agent j with squared distance > delta2 lies
     in agent i's closed back half-plane (dot product <= 0). near[i, j] is
     True iff the squared distance is <= delta2, so always on the diagonal.
-    The kernel is dense, with (n, n) temporaries: dot[i, j] = h_i . (p_j -
-    p_i) and d2[i, j] = |p_j - p_i|^2.
+    The kernel is dense, with (n, n) temporaries: the back-half-plane
+    term dot[i, j] = h_i . (p_j - p_i) and the squared distance
+    |p_j - p_i|^2.
     """
     dx = positions[None, :, 0] - positions[:, None, 0]
     dy = positions[None, :, 1] - positions[:, None, 1]

@@ -24,8 +24,9 @@ class Constellation:
     run's optional start.
 
     positions: (n, 2) float64 with n >= 1; headings: (n,) radians, all
-    finite (a ValueError otherwise). A step takes any finite headings; a run's start
-    needs them in [0, 2*pi), since frame 0 records them as given.
+    finite (a ValueError otherwise). A step takes any finite headings; a
+    run's start needs them in [0, 2*pi), since frame 0 records them as
+    given.
     """
 
     positions: np.ndarray
