@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import blocked_agents, min_enclosing_disc
+from .geometry import _DISC_EPS, blocked_agents, min_enclosing_disc
 from .rng import SEED_LIMIT, check_integer
 from .state import Constellation, RunSummary, Trace, apply_move, run_loop
 
@@ -71,23 +71,27 @@ def _jump(positions: np.ndarray, config: DiscreteConfig, hx, hy) -> np.ndarray:
 # Let s = fl(hi - lo) be the observer's side of the wider bounding-box axis,
 # w = s / 2 (exact) its half-width, and u = 2^-53. The exact side is at
 # least s (1 - u), and over t jumps hi falls and lo rises by at most t d
-# each. The observer's half-width stays above 1 while the exact side is at
-# least 2 + 2^-51, the double after 2 (rounding is monotone). For
-# 1 < w < 2^52, t = floor((w - 1) / d) - 1 is computed exactly (w - 1 is a
-# double and d a power of two) and has t d <= w - 1 - d, so half the exact
-# side stays at least w (1 - u) - t d >= 1 + d - w u > 1 + 1/2. With m the
+# each. The disc's containment test admits a point up to radius * _DISC_EPS
+# from its centre, so its radius is at least the observer's half-width
+# divided by _DISC_EPS (tested), and is above 1 while that half-width is
+# above _DISC_EPS, which holds while the exact side is at least 3 (rounding
+# is monotone). For _DISC_EPS < w < 2^52, t = floor((w - 1) / d) - 1 is
+# computed exactly (w - 1 is a double and d a power of two) and has
+# t d <= w - 1 - d, so half the exact side stays at least
+# w (1 - u) - t d >= 1 + d - w u > 1 + 1/2. With m the
 # largest |coordinate| at the check, m < 2^52 keeps every coordinate below
 # m + t < 2^53 over those jumps, where d = 1 holds; otherwise d = 2.
 _FAR_LIMIT = 2.0 ** 52
 
 
 def _far_steps(positions: np.ndarray) -> int:
-    """0 when the bounding box's half-width, a lower bound on the
-    enclosing-disc radius, is at most 1; otherwise the number of steps from
-    this one on over which it provably stays above 1 (the bound above)."""
+    """0 when the bounding box's half-width is at most `_DISC_EPS`, so that
+    the enclosing disc may have radius at most 1; otherwise the number of
+    steps from this one on over which it provably stays above `_DISC_EPS`
+    (the bound above)."""
     (x_hi, y_hi), (x_lo, y_lo) = positions.max(axis=0).tolist(), positions.min(axis=0).tolist()
     w = max(x_hi - x_lo, y_hi - y_lo) / 2.0
-    if w <= 1.0:
+    if w <= _DISC_EPS:
         return 0
     if w >= _FAR_LIMIT:
         return 1
@@ -106,8 +110,10 @@ def run_discrete(config: DiscreteConfig, record_every: int | None = 1,
     either way.
 
     The observer computes the exact disc only once the bounding box's
-    half-width is at most 1, and checks the box only as often as the
-    one-jump bound (`_far_steps`) requires.
+    half-width is at most `_DISC_EPS`: the radius is at least the half-width
+    divided by that factor (tested in `test_disc_radius_bounds_the_box_gate`).
+    It checks the box only as often as the one-jump bound (`_far_steps`)
+    requires.
     """
     far = 0
 

@@ -2,10 +2,11 @@
 the pooled map that runs them and any other ensemble (`run_many`), and
 least-squares trend fitting of their convergence steps.
 
-`run_many` forks its workers itself and talks to them over pipes, one run
-index out and one pickled reply back at a time; it does not use
-`multiprocessing`, whose import and pool lifecycle cost each pooled sweep
-about 15 ms. A worker leaves only through `os._exit`.
+`run_many` forks its workers itself and talks to each over two pipes that
+carry streams of pickles, one run index out and one (ok, value) reply back
+at a time; it does not use `multiprocessing`, whose import and pool
+lifecycle cost each pooled sweep about 15 ms. A worker runs until it is
+killed, and leaves only through `os._exit`.
 """
 
 import os
@@ -104,9 +105,17 @@ def run_many(runs: Sequence[tuple]) -> list[RunSummary]:
     n first (later runs first among equal n), each the next as it finishes
     one; with one usable CPU, or no `os.fork`, they run in this process,
     and an empty ensemble starts no process. A config holds its run's seed,
-    so the summaries are the same for every worker count. A run's exception
-    reaches the caller, a worker that ends without a result is a
-    RuntimeError naming its run, and no worker outlives the call.
+    so the summaries are the same for every worker count.
+
+    Each worker has two pipes, each a stream of pickles: this process dumps
+    a run index into the task pipe, which is unbuffered, so an index goes
+    out in one write and closing the pipe flushes nothing; then it loads the
+    worker's (ok, value) reply from the reply pipe before it hands that
+    worker another index. A run's exception reaches the caller, and a reply
+    pipe that ends before a whole reply, as when its worker dies or cannot
+    pickle its reply, is a RuntimeError naming the run. Every worker is
+    killed and reaped, and every pipe end closed, before the call returns
+    or raises.
     """
     jobs = _ensemble_jobs(len(runs))
     if jobs <= 1:
@@ -117,105 +126,83 @@ def run_many(runs: Sequence[tuple]) -> list[RunSummary]:
 
     todo = sorted(range(len(runs)), key=lambda i: (runs[i][0].n, i))
     summaries = [None] * len(runs)
-    fds = []  # the pipe ends this process holds
     pids = []
-    busy = {}  # a worker's result pipe -> (its task pipe, the run it has)
+    workers = {}  # a worker's reply pipe -> (its task file, its reply file)
+    busy = {}  # a worker's reply pipe -> the run it has
     poller = select.poll()
     try:
         # fork, not spawn: a spawned worker re-imports numpy and gathersim,
         # which takes about as long as a small sweep
         for _ in range(jobs):
-            tasks = os.pipe()
-            fds += tasks
-            results = os.pipe()
-            fds += results
-            pid = os.fork()
-            if pid == 0:
-                _serve(runs, tasks[0], results[1], fds)
-            pids.append(pid)
-            for fd in (tasks[0], results[1]):
-                fds.remove(fd)
-                os.close(fd)
-            poller.register(results[0], select.POLLIN)
-            busy[results[0]] = (tasks[1], _send(tasks[1], todo.pop()))
+            task_r, task_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            # this process closes the worker's ends before the next fork, so
+            # only the worker holds its reply pipe's write end, and the pipe
+            # ends once the worker dies
+            with open(task_r, "rb") as tasks, open(reply_w, "wb") as replies:
+                workers[reply_r] = open(task_w, "wb", buffering=0), open(reply_r, "rb")
+                if (pid := os.fork()) == 0:
+                    _serve(runs, tasks, replies, workers[reply_r])
+                pids.append(pid)
+            poller.register(reply_r, select.POLLIN)
+            busy[reply_r] = todo.pop()
+            pickle.dump(busy[reply_r], workers[reply_r][0])
         while busy:
             for fd, _ in poller.poll():
-                task_fd, i = busy.pop(fd)
-                summaries[i] = _receive(fd, i, runs[i][0])
+                i = busy.pop(fd)
+                summaries[i] = _receive(workers[fd][1], i, runs[i][0])
                 if todo:
-                    busy[fd] = (task_fd, _send(task_fd, todo.pop()))
+                    busy[fd] = todo.pop()
+                    pickle.dump(busy[fd], workers[fd][0])
                 else:
                     poller.unregister(fd)
         return summaries
     finally:
-        for fd in fds:
-            os.close(fd)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
+        for files in workers.values():
+            for file in files:
+                file.close()
+        for pid in pids:
             os.waitpid(pid, 0)
 
 
-def _serve(runs, tasks, results, inherited):
-    """The loop of a forked worker: read a run index from the tasks pipe,
-    run it untraced and write back (True, summary), or (False, exception),
-    pickled and prefixed by its length, until the pipe closes. It closes
-    the other pipe ends it inherited, and it leaves only through os._exit,
-    so it never returns into the caller's stack, runs no atexit handler and
-    flushes no inherited buffer."""
-    code = 1
+def _serve(runs, tasks, replies, parent_ends):
+    """The loop of a forked worker: load a run index from the tasks file,
+    run it untraced and dump (True, summary), or (False, exception), into
+    the replies file, one pickle each. It first closes the parent's ends of
+    its own pipes, so that if the parent dies, its task pipe ends once the
+    workers forked after it have ended. It runs until it is killed, or until
+    its task pipe ends or a reply cannot be pickled, and leaves only through
+    os._exit, so it never returns into the caller's stack, runs no atexit
+    handler and flushes no inherited buffer."""
     try:
-        for fd in inherited:
-            if fd not in (tasks, results):
-                os.close(fd)
-        while index := _read(tasks, 8):
-            config, run = runs[int.from_bytes(index, "little")]
+        for end in parent_ends:
+            end.close()
+        while True:
+            config, run = runs[pickle.load(tasks)]
             try:
                 reply = (True, _run_untraced(config, run))
             except Exception as exc:
                 reply = (False, exc)
-            data = pickle.dumps(reply)
-            _write(results, len(data).to_bytes(8, "little") + data)
-        code = 0
+            pickle.dump(reply, replies)
+            replies.flush()
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
-def _send(fd, i: int) -> int:
-    """Hand run i to the worker that reads the task pipe fd; returns i."""
-    _write(fd, i.to_bytes(8, "little"))
-    return i
-
-
-def _receive(fd, i: int, config) -> RunSummary:
-    """The summary of run i from its worker's result pipe fd; the run's
-    exception is raised again, and a worker that closed the pipe without a
-    whole reply is a RuntimeError."""
-    size = int.from_bytes(_read(fd, 8), "little")
-    data = _read(fd, size)
-    if not size or len(data) < size:
+def _receive(replies, i: int, config) -> RunSummary:
+    """The summary of run i, loaded from its worker's reply file; the run's
+    exception is raised again, and a reply pipe that ends before a whole
+    reply is a RuntimeError."""
+    try:
+        ok, value = pickle.load(replies)
+    except (EOFError, pickle.UnpicklingError):
         raise RuntimeError(f"run {i} (n={config.n}, seed={config.seed}) ended its worker "
-                           f"without a result")
-    ok, value = pickle.loads(data)
+                           f"without a result") from None
     if not ok:
         raise value
     return value
-
-
-def _read(fd, size: int) -> bytes:
-    """size bytes from fd, or fewer where the pipe closes first."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
-def _write(fd, data: bytes):
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 def run_sweep(config: SweepConfig) -> list[RunSummary]:

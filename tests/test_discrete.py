@@ -247,6 +247,19 @@ def test_run_close_pair_converges_at_step_zero():
     assert math.isclose(summary.final_radius, 0.25, abs_tol=1e-12)
 
 
+# half-width 1 + 2^-52, above 1 but within the containment margin _DISC_EPS
+# of min_enclosing_disc, which gives it radius 1
+GATE_EDGE_FRAME = [(-1.0, 0.0), (1.0 + 2.0 ** -51, 0.0), (1.0, 0.0)]
+
+
+def test_run_within_the_disc_margin_converges_at_step_zero():
+    # the box gate must not skip a frame that the disc calls gathered
+    initial = Constellation(np.array(GATE_EDGE_FRAME), np.zeros(3))
+    _, summary = run_discrete(DiscreteConfig(n=3, max_steps=10), initial=initial)
+    assert min_enclosing_disc(initial.positions).radius == 1.0
+    assert summary.converged_step == 0
+
+
 @pytest.mark.parametrize("positions, headings", [
     ([[0.0, 0.0], [1.0, 1.0]], [math.nan, 0.0]),
     ([[0.0, 0.0], [1.0, 1.0]], [0.0, math.inf]),
@@ -483,7 +496,7 @@ LEMMA_OFFSETS = [0.0, 1e8, 2.0 ** 52 - 64.0, 2.0 ** 52]
 
 def lemma_frame(kind, side, rng):
     """One frame of `kind` whose wider bounding-box side is about `side`,
-    before its offset."""
+    before its offset; the gate-edge frame is the same for every side."""
     n = int(rng.integers(2, 12))
     t = np.concatenate([[0.0, side], rng.uniform(0.0, side, n - 2)])
     if kind == "axis":
@@ -491,6 +504,8 @@ def lemma_frame(kind, side, rng):
         return pos[:, ::-1] if rng.random() < 0.5 else pos
     if kind == "diagonal":
         return np.stack([t, rng.choice([1.0, -1.0, 0.5, -2.0]) * t], axis=1)
+    if kind == "gate-edge":
+        return np.array(GATE_EDGE_FRAME)
     if kind == "coincident":
         return np.tile(rng.uniform(-3.0, 3.0, 2), (n, 1))
     if kind == "two-point":
@@ -504,14 +519,15 @@ def lemma_frame(kind, side, rng):
 
 
 @pytest.mark.parametrize("kind", ["axis", "diagonal", "coincident", "two-point", "cocircular",
-                                  "regular"])
+                                  "regular", "gate-edge"])
 def test_disc_radius_bounds_the_box_gate(kind):
     # the lemma the observer's box gate relies on: the radius that
     # min_enclosing_disc computes is at least half the wider side of the
-    # bounding box. Its containment test admits a point up to
-    # radius * _DISC_EPS from the centre, which is the margin. So a frame
-    # with _far_steps > 0 (half-width above 1) is never one the disc would
-    # call gathered.
+    # bounding box, divided by _DISC_EPS. Its containment test admits a
+    # point up to radius * _DISC_EPS from the centre, which is the margin:
+    # the gate-edge frame has half-width 1 + 2^-52 and radius 1. So a frame
+    # with _far_steps > 0 (half-width above _DISC_EPS) is never one the disc
+    # would call gathered.
     rng = np.random.default_rng(len(kind))
     for side in LEMMA_SIDES:
         for offset in LEMMA_OFFSETS:

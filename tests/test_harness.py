@@ -196,6 +196,14 @@ def exit_at_n10(config, **options):
     return run_discrete(config, **options)
 
 
+def unpicklable_at_n10(config, **options):
+    """`run_discrete`, except that its runs at n = 10 raise an exception
+    that cannot be pickled, so a worker cannot send it back."""
+    if config.n == 10:
+        raise ValueError(lambda: 0)
+    return run_discrete(config, **options)
+
+
 def use_jobs(monkeypatch, jobs):
     """Size every ensemble to `jobs` workers, whatever the usable CPUs."""
     monkeypatch.setattr(harness, "_ensemble_jobs", lambda runs: jobs)
@@ -261,6 +269,28 @@ def test_a_worker_that_ends_without_a_result_names_its_run(monkeypatch):
     # the n = 10 runs are 4 and 5; whichever a worker took first ends the map
     with pytest.raises(RuntimeError, match=r"run [45] \(n=10, seed=[01]\) ended its worker"):
         run_many(runs)
+    assert_no_child_process()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+@pytest.mark.parametrize("run, error, match", [
+    (run_discrete, None, None),
+    (fail_at_n10, ValueError, r"run \(n=10, seed=[01]\) failed"),
+    (exit_at_n10, RuntimeError, r"run [45] \(n=10, seed=[01]\) ended its worker"),
+    (unpicklable_at_n10, RuntimeError, r"run [45] \(n=10, seed=[01]\) ended its worker"),
+], ids=["success", "run-error", "worker-exit", "unpicklable-error"])
+def test_run_many_leaves_no_pipe_end_open(run, error, match, monkeypatch):
+    # the n = 10 runs are 4 and 5; whichever a worker took first ends the map
+    use_jobs(monkeypatch, 2)
+    runs = [(DiscreteConfig(n=n, seed=seed, max_steps=500), run)
+            for n in (5, 20, 10) for seed in (0, 1)]
+    before = sorted(os.listdir("/proc/self/fd"))
+    if error is None:
+        assert len(run_many(runs)) == len(runs)
+    else:
+        with pytest.raises(error, match=match):
+            run_many(runs)
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_process()
 
 
