@@ -24,9 +24,11 @@ _DISC_EPS = 1.0 + 1e-14
 # the expected-linear behavior of the randomized incremental construction.
 _DISC_SHUFFLE_SEED = 0x5EED
 
-# The discrete sensor runs dense up to this many agents, where the
-# dense kernel is no slower than the witness filter (crossover measured on
-# frames of discrete runs), and output-sensitive above it.
+# The discrete sensor runs dense up to this many agents and output-sensitive
+# above it. On frames of discrete runs the witness filter beats the dense
+# kernel from n ~ 60 (25 vs 34 us per call at n = 80), but the pooled
+# criterion-2 sweep (n = 10..80) was slower with a crossover of 60: it lost
+# 5 of 6 alternating benchmark pairs, wall_s medians 0.336 -> 0.381 s.
 _DENSE_MAX_N = 80
 
 # Fixed directions whose extreme agents are the witness filter's witnesses.
@@ -189,11 +191,18 @@ def _witness_blocked(positions, hx, hy) -> np.ndarray:
     tested against them first (a witness never against itself, by index, so
     coincident agents still block each other), and only the agents that no
     witness blocks get the full row.
+
+    The witnesses are picked with a mask over agent indices, which keeps
+    them in ascending index order, rather than with np.unique: on numpy >= 2
+    np.unique imports numpy.ma on its first use, 8.5-12 ms of the first
+    large-n call in every process.
     """
     x = positions[:, 0]
     y = positions[:, 1]
+    mark = np.zeros(len(positions), bool)
+    mark[np.argmin(_DIRECTIONS @ positions.T, axis=1)] = True
+    w = np.flatnonzero(mark)
     # (witness, agent) layout: the reductions run along contiguous rows
-    w = np.unique(np.argmin(_DIRECTIONS @ positions.T, axis=1))
     back = hx * (x[w, None] - x) + hy * (y[w, None] - y) <= 0.0
     back[np.arange(len(w)), w] = False
     blocked = back.any(axis=0)

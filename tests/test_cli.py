@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,3 +334,50 @@ def test_discrete_sim_may_write_its_summary_where_a_series_would_go(tmp_path):
     assert main(["sim", "--model", "discrete", "--n", "3", "--seed", "1", "--steps", "3",
                  "--trace", str(trace), "--summary", str(summary)]) == 0
     assert read_bytes(summary).startswith(b"run_id,")
+
+
+# Runs cli.main on the argv after -c in a fresh interpreter and fails if it
+# imports a numpy module, in this process or, through the run function the
+# pool calls, in a forked worker.
+_NO_NUMPY_IMPORT = """
+import sys
+from gathersim import cli, harness
+before = set(sys.modules)
+
+def new_numpy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' and m not in before)
+
+run_untraced = harness._run_untraced
+
+def checked(config, run):
+    summary = run_untraced(config, run)
+    assert not new_numpy_modules(), (config.n, new_numpy_modules())
+    return summary
+
+harness._run_untraced = checked
+harness._ensemble_jobs = lambda runs: 2
+assert cli.main(sys.argv[1:]) == 0
+assert not new_numpy_modules(), new_numpy_modules()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--model", "discrete", "--n", "10", "--seed", "1", "--steps", "20"],
+    ["sim", "--model", "discrete", "--n", "81", "--seed", "1", "--steps", "20"],
+    ["sim", "--model", "continuous", "--n", "3", "--spread", "2", "--seed", "1", "--steps", "5"],
+    ["sweep", "--model", "discrete", "--n-list", "2,3,81", "--reps", "1", "--steps", "100",
+     "--base-seed", "5", "--out", "sweep.csv"],
+], ids=["discrete-dense", "discrete-witness", "continuous", "pooled-sweep"])
+def test_a_run_imports_no_numpy_module(argv, tmp_path):
+    """A run's time goes to the run: cli.main imports no numpy module, in
+    this process or in a pooled sweep's workers. np.unique in the large-n
+    sensor, for one, imports numpy.ma, numpy.ma.core and numpy.ma.extras on
+    its first use on numpy >= 2. On numpy 1.x numpy.ma is imported with
+    numpy, so there this test cannot fail."""
+    if argv[0] == "sim":
+        argv = [*argv, "--trace", "trace.csv", "--summary", "summary.csv"]
+    path = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_IMPORT, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
