@@ -83,6 +83,46 @@ term, so g = e + left * rho covers the decision at the sensed substep, the
 decision at substep t and the evaluation of the model. At ordinary
 coordinates e is ~1e-13 and g ~1e-11, far below one substep.
 
+The chatter loop. Most sensed substeps of a small constellation come from
+one agent a whose own decisions flip while every other agent keeps its
+flags: a slides at the edge of a partner's blind zone, held on one substep
+and free on the next, or runs along behind the back line of an agent that
+blocks it. Each flip ends a count at 0. So when a sensed substep's final
+movers differ from the previous decided substep's in a alone, every other
+agent keeps its sensor flag, and the count just taken is below
+`_WINDOW_MIN` because of a pair with a, the integrator opens a window of k
+substeps (`_certify`). Let F0 be the final movers other than a, and let the
+certified flags be the hold rounds of both decided substeps, one with each
+phase of a's toggle. After t more substeps, s of them moves of a (0 <= s <=
+t <= k):
+  - a pair without a has the fixed w of its count, since both members keep
+    their flags, and `_pair_repeats` certifies it over the certified flags;
+  - a pair (a, j) has the difference v + t w_j - s d_a, w_j = step F0_j h_j
+    and d_a = step h_a, affine in (t, s) on the triangle with vertices
+    (0, 0), (k, 0) and (k, k). Its linear terms, and its squared distances
+    that must stay within delta (convex), are extreme at the vertices, so
+    the counts along the rays s = 0 (direction w_j) and s = t (w_j - d_a)
+    bound them. A squared distance that must stay beyond delta has its
+    minimum inside the triangle; the Lipschitz margin |u| - k (|w_j| + |d_a|)
+    > delta + g bounds it instead, which can only shorten a count
+    (`_triangle_repeats`, `_far_repeats`).
+k is the least count of the pairs without a and the third least of the
+pairs (a, j), and the (at most two) pairs (a, j) below it are live: the
+partner of a's hold, or the agent that blocks a. Inside the window nothing
+is sensed (`_chatter`). Each stretch in which a keeps its flag is an
+ordinary count of the live pairs; where it ends, a toggle re-decides a's
+sensor flag, and each live partner's, from the live pairs with the sensor's
+float expressions at the stored positions (every other input of those
+flags is certified), and reruns the hold rounds there. The window ends, and
+the next substep is sensed as usual, where a live pair would cross delta,
+another agent's final flag would change or a hold round's flags are not
+certified, and after its k substeps. A coordinate changes only by its
+owner's additions x += step * h, so the agents of F0 get t additions and a
+gets s, the floats that sensing every substep gives. The guard still holds:
+a pair's stored difference drifts by at most rho per substep whether a
+moves or not, and the ray w_j - d_a is rounded once, as w is in a count,
+so g = e + left * rho covers (t, s) as it covers t.
+
 The integrator, `_advance_interval`, senses each sensed substep with one
 `geometry.blind_zone_sensor` call, dense over agents in numpy, and lists
 the pairs within delta once. Its hold rounds (`_hold_rounds`) and counts
@@ -113,6 +153,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # The largest chunk, in rows, of the accumulation that applies elided
 # substeps.
 _ACCUMULATE_ROWS = 4096
+
+# The fewest substeps a chatter window must certify to pay for its setup,
+# and the count below which a sensed substep tries one.
+_WINDOW_MIN = 8
 
 
 @dataclass
@@ -243,6 +287,69 @@ def _pair_repeats(i, j, p, h, d, mover, rounds, delta, guard, cap):
     return k
 
 
+def _triangle_repeats(a, j, p, h, d, moves, rounds, delta, guard, cap):
+    """A count, up to cap, of substeps over which every decision of pair
+    (a, j) provably repeats whichever of them a moves in, with j moving in
+    all of them if moves and in none otherwise (module docstring): the
+    difference v + t w - s d_a on the triangle 0 <= s <= t <= k is bounded
+    by the rays s = 0 and s = t and, beyond delta, by a Lipschitz margin.
+    p, h, d and rounds are as for _pair_repeats."""
+    vx = p[j][0] - p[a][0]
+    vy = p[j][1] - p[a][1]
+    djx, djy = d[j]
+    dax, day = d[a]
+    wx, wy = (djx, djy) if moves else (0.0, 0.0)
+    rays = ((wx, wy), (wx - dax, wy - day))
+    speed = math.hypot(wx, wy) + math.hypot(dax, day)
+    hax, hay = h[a]
+    hjx, hjy = h[j]
+    terms = [(vx, vy, True, True)]
+    if vx * vx + vy * vy <= delta * delta:
+        # within delta: the trial difference of each pair of flags in the rounds
+        terms = [(vx + ((djx if free_j else 0.0) - (dax if free_a else 0.0)),
+                  vy + ((djy if free_j else 0.0) - (day if free_a else 0.0)), free_a, free_j)
+                 for free_a, free_j in dict.fromkeys((free[a], free[j]) for free in rounds)
+                 if free_a or free_j]
+        for wx, wy in rays:
+            cap = _within_repeats(vx, vy, wx, wy, delta - guard, cap)
+    for ux, uy, test_a, test_j in terms:
+        if not cap:
+            break
+        if ux * ux + uy * uy > delta * delta:
+            cap = _far_repeats(ux, uy, speed, delta + guard, cap)
+            a0 = hax * ux + hay * uy
+            b0 = hjx * ux + hjy * uy
+            for wx, wy in rays:
+                if test_a:
+                    cap = _linear_repeats(a0, hax * wx + hay * wy, guard, cap)
+                if test_j:
+                    cap = _linear_repeats(b0, hjx * wx + hjy * wy, guard, cap)
+        else:
+            for wx, wy in rays:
+                cap = _within_repeats(ux, uy, wx, wy, delta - guard, cap)
+    return cap
+
+
+def _far_repeats(vx, vy, speed, limit, cap):
+    """Largest k <= cap with |v| - k speed > limit, so that |v + x| > limit
+    whenever |x| <= k speed; 0 when that is not provable."""
+    margin = math.sqrt(vx * vx + vy * vy) - limit
+    if margin <= 0.0:
+        return 0
+    k = cap if cap * speed < margin else int(margin / speed)
+    return k if margin - k * speed > 0.0 else 0
+
+
+def _sensed(i, j, q, h, delta2):
+    """(beyond delta, j blocks i, i blocks j) for the pair (i, j) at
+    positions q, by the sensor's float expressions."""
+    dx = q[j][0] - q[i][0]
+    dy = q[j][1] - q[i][1]
+    if dx * dx + dy * dy > delta2:
+        return True, h[i][0] * dx + h[i][1] * dy <= 0.0, h[j][0] * -dx + h[j][1] * -dy <= 0.0
+    return False, False, False
+
+
 def _advance_interval(pos, hx, hy, delta, step, nsub):
     """The positions after nsub substeps of the sliding rule from pos,
     sensing only the substeps whose decisions can change (module
@@ -259,32 +366,49 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
     steps = move.tolist()
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     last = None  # the pair that ended the previous count at 0
+    before = None  # the sensor flags, hold rounds and final movers of the last decided substep
     left = nsub
     while left:
         blocked, near = blind_zone_sensor(pos, hx, hy, delta2)
-        mover = (~blocked).tolist()
-        if True not in mover:
+        sensor = (~blocked).tolist()
+        if True not in sensor:
             break
         p = pos.tolist()
         first, second = (near & upper).nonzero()
-        rounds = _hold_rounds(list(zip(first.tolist(), second.tolist())), p, h, steps,
-                              mover, delta2)
-        if rounds:
-            mover = rounds[-1]
-            if True not in mover:
-                break
-        # the least exact count over the pairs with a mover, the last zero first
+        pairs = list(zip(first.tolist(), second.tolist()))
+        rounds = _hold_rounds(pairs, p, h, steps, sensor, delta2)
+        mover = rounds[-1] if rounds else sensor
+        if True not in mover:
+            break
+        # the least exact count over the pairs with a mover, the last zero
+        # first, and the pair that set it
         k = left - 1
+        low = None
         g = slack + left * drift
         if last is not None and (mover[last[0]] or mover[last[1]]):
             k = _pair_repeats(*last, p, h, steps, mover, rounds, delta, g, k)
+            low = last
         if k:
             for i, j in ((i, j) for i in range(n) if mover[i] for j in range(n)
                          if j != i and not (mover[j] and j < i)):
-                k = _pair_repeats(i, j, p, h, steps, mover, rounds, delta, g, k)
-                if not k:
-                    last = (i, j)
-                    break
+                c = _pair_repeats(i, j, p, h, steps, mover, rounds, delta, g, k)
+                if c < k:
+                    k = c
+                    low = (i, j)
+                    if not k:
+                        last = low
+                        break
+        if k < _WINDOW_MIN and low is not None and before is not None:
+            a = _lone_toggle(before, sensor, mover)
+            if a in low:
+                window, live, flags = _certify(a, p, h, steps, mover, rounds + before[1], delta,
+                                               g, left - 1)
+                if window >= _WINDOW_MIN:
+                    pos, done, before = _chatter(a, pos, p, h, steps, move, sensor, rounds,
+                                                 mover, pairs, live, flags, delta, g, window)
+                    left -= done
+                    continue
+        before = (sensor, rounds, mover)
         free = np.array(mover)
         new = np.where(free[:, None], pos + move, pos)
         if k:
@@ -292,6 +416,117 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
         pos = new
         left -= 1 + k
     return pos
+
+
+def _lone_toggle(before, sensor, mover):
+    """The one agent whose final move flag differs from before's, when every
+    other agent also keeps its sensor flag; None otherwise."""
+    previous_sensor, _, previous = before
+    toggled = [i for i, (x, y) in enumerate(zip(mover, previous)) if x != y]
+    if len(toggled) != 1:
+        return None
+    a = toggled[0]
+    if sensor[:a] != previous_sensor[:a] or sensor[a + 1:] != previous_sensor[a + 1:]:
+        return None
+    return a
+
+
+def _certify(a, p, h, d, mover, flags, delta, guard, cap):
+    """The chatter window of agent a from the sensed positions p (module
+    docstring): (k, live, flags), where k <= cap is a count of substeps
+    over which every decision of a pair without a, and of every pair (a, j)
+    with j not in live, provably repeats whatever a does, as long as every
+    other agent keeps its flag in mover and every hold round has flags in
+    flags, of which the distinct ones are returned; live holds the partners
+    of the (at most two) pairs (a, j) certified for fewer substeps. Stops
+    early once k < _WINDOW_MIN."""
+    n = len(p)
+    flags = list({tuple(free): free for free in flags}.values())
+    f0 = mover.copy()
+    f0[a] = False
+    # the pairs without a keep a fixed w; they tell apart only the rounds
+    # that differ beyond a
+    others = list({tuple(free[:a] + free[a + 1:]): free for free in flags}.values())
+    k = cap
+    for i in range(n):
+        if f0[i]:
+            for j in range(n):
+                if j != a and j != i and not (f0[j] and j < i):
+                    k = _pair_repeats(i, j, p, h, d, f0, others, delta, guard, k)
+                    if k < _WINDOW_MIN:
+                        return k, None, None
+    # the two least counts of the pairs (a, j) are live, unless they reach the third
+    counts = sorted((_triangle_repeats(a, j, p, h, d, f0[j], flags, delta, guard, k), j)
+                    for j in range(n) if j != a)
+    if len(counts) > 2:
+        k = counts[2][0]
+    return k, [j for c, j in counts[:2] if c < k], flags
+
+
+def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flags, delta, guard,
+             k):
+    """The chatter loop of agent a (module docstring) over the window (k,
+    live, flags) that _certify gave, from the sensed substep at positions
+    pos (p as lists) with sensor flags sensor, hold rounds rounds, final
+    movers mover and the pairs within delta pairs. At each toggle it
+    re-decides only a's live pairs, exactly, and it ends the window early
+    when one of them would change another agent's flag. Returns the
+    positions after the window, the substeps it applied (at most 1 + k) and
+    the (sensor flags, hold rounds, final movers) of its last decided
+    substep."""
+    n = len(p)
+    delta2 = delta * delta
+    certified = set(map(tuple, flags))
+    fixed = mover  # every other agent's final flag in the window
+    # whether a pair that the window certifies blocks a, and each live partner
+    block = any(_sensed(a, j, p, h, delta2)[1] for j in range(n) if j != a and j not in live)
+    blocked = [any(_sensed(j, i, p, h, delta2)[1] for i in range(n) if i != a and i != j)
+               for j in live]
+    beyond = [_sensed(a, j, p, h, delta2)[0] for j in live]
+    # the agents whose stored positions a toggle reads, kept in q
+    track = sorted({a, *live, *(x for pair in pairs for x in pair)})
+    q = p.copy()
+    free = sensor
+    t = 0
+    while True:
+        c = k - t
+        for j in live:
+            c = _pair_repeats(a, j, q, h, steps, mover, rounds, delta, guard, c)
+        for i in track:
+            if mover[i]:
+                x, y = q[i]
+                dx, dy = steps[i]
+                for _ in range(c + 1):
+                    x += dx
+                    y += dy
+                q[i] = [x, y]
+        t += c + 1
+        if t > k:
+            break
+        # a toggle: re-decide a's live pairs at the stored positions
+        toggle = free.copy()
+        toggle[a] = not block
+        for j, was, other in zip(live, beyond, blocked):
+            now, blocks_a, blocks_j = _sensed(a, j, q, h, delta2)
+            if now != was:
+                break
+            if blocks_a:
+                toggle[a] = False
+            toggle[j] = not (other or blocks_j)
+        else:
+            held = _hold_rounds(pairs, q, h, steps, toggle, delta2)
+            final = held[-1] if held else toggle
+            if (final[:a] == fixed[:a] and final[a + 1:] == fixed[a + 1:]
+                    and all(tuple(r) in certified for r in held)):
+                free, rounds, mover = toggle, held, final
+                continue
+        break
+    new = pos.copy()
+    rest = np.array(fixed)
+    rest[track] = False
+    new[rest] = _repeat_add(pos[rest], move[rest], t)
+    new[track] = [q[i] for i in track]
+    return new, t, (free, rounds, mover)
 
 
 def _hold_rounds(pairs, p, h, steps, mover, delta2):
