@@ -108,7 +108,10 @@ t <= k):
     (`_triangle_repeats`, `_far_repeats`).
 k is the least count of the pairs without a and the third least of the
 pairs (a, j), and the (at most two) pairs (a, j) below it are live: the
-partner of a's hold, or the agent that blocks a. Inside the window nothing
+partner of a's hold, or the agent that blocks a. A window shorter than
+`_WINDOW_MIN` is not opened, and then no window is tried until the count
+that stopped it has run out; a pair without a that stopped it is counted
+first at the next try. Inside the window nothing
 is sensed (`_chatter`). Each stretch in which a keeps its flag is an
 ordinary count of the live pairs; where it ends, a toggle re-decides a's
 sensor flag, and each live partner's, from the live pairs with the sensor's
@@ -367,6 +370,8 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     last = None  # the pair that ended the previous count at 0
     before = None  # the sensor flags, hold rounds and final movers of the last decided substep
+    stop = None  # the pair that stopped the last chatter window short, tried first
+    calm = nsub  # no window is tried while more substeps than this are left
     left = nsub
     while left:
         blocked, near = blind_zone_sensor(pos, hx, hy, delta2)
@@ -398,12 +403,16 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
                     if not k:
                         last = low
                         break
-        if k < _WINDOW_MIN and low is not None and before is not None:
+        if k < _WINDOW_MIN and low is not None and before is not None and left <= calm:
             a = _lone_toggle(before, sensor, mover)
             if a in low:
                 window, live, flags = _certify(a, p, h, steps, mover, rounds + before[1], delta,
-                                               g, left - 1)
-                if window >= _WINDOW_MIN:
+                                               g, left - 1, stop)
+                if window < _WINDOW_MIN:
+                    # no window until the count that stopped this one has run out
+                    stop = live
+                    calm = left - window - 1
+                else:
                     pos, done, before = _chatter(a, pos, p, h, steps, move, sensor, rounds,
                                                  mover, pairs, live, flags, delta, g, window)
                     left -= done
@@ -431,15 +440,16 @@ def _lone_toggle(before, sensor, mover):
     return a
 
 
-def _certify(a, p, h, d, mover, flags, delta, guard, cap):
+def _certify(a, p, h, d, mover, flags, delta, guard, cap, stop):
     """The chatter window of agent a from the sensed positions p (module
     docstring): (k, live, flags), where k <= cap is a count of substeps
     over which every decision of a pair without a, and of every pair (a, j)
     with j not in live, provably repeats whatever a does, as long as every
     other agent keeps its flag in mover and every hold round has flags in
     flags, of which the distinct ones are returned; live holds the partners
-    of the (at most two) pairs (a, j) certified for fewer substeps. Stops
-    early once k < _WINDOW_MIN."""
+    of the (at most two) pairs (a, j) certified for fewer substeps. Once k <
+    _WINDOW_MIN it stops, and live is the pair without a that stopped it,
+    if any; a pair stop without a is counted first."""
     n = len(p)
     flags = list({tuple(free): free for free in flags}.values())
     f0 = mover.copy()
@@ -448,18 +458,19 @@ def _certify(a, p, h, d, mover, flags, delta, guard, cap):
     # that differ beyond a
     others = list({tuple(free[:a] + free[a + 1:]): free for free in flags}.values())
     k = cap
-    for i in range(n):
-        if f0[i]:
-            for j in range(n):
-                if j != a and j != i and not (f0[j] and j < i):
-                    k = _pair_repeats(i, j, p, h, d, f0, others, delta, guard, k)
-                    if k < _WINDOW_MIN:
-                        return k, None, None
+    first = [stop] if stop is not None and a not in stop and (f0[stop[0]] or f0[stop[1]]) else []
+    for i, j in first + [(i, j) for i in range(n) if f0[i] for j in range(n)
+                         if j != a and j != i and not (f0[j] and j < i)]:
+        k = _pair_repeats(i, j, p, h, d, f0, others, delta, guard, k)
+        if k < _WINDOW_MIN:
+            return k, (i, j), None
     # the two least counts of the pairs (a, j) are live, unless they reach the third
     counts = sorted((_triangle_repeats(a, j, p, h, d, f0[j], flags, delta, guard, k), j)
                     for j in range(n) if j != a)
     if len(counts) > 2:
         k = counts[2][0]
+    if k < _WINDOW_MIN:
+        return k, None, None
     return k, [j for c, j in counts[:2] if c < k], flags
 
 
@@ -485,6 +496,7 @@ def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flag
     beyond = [_sensed(a, j, p, h, delta2)[0] for j in live]
     # the agents whose stored positions a toggle reads, kept in q
     track = sorted({a, *live, *(x for pair in pairs for x in pair)})
+    moving = [i for i in track if i != a and fixed[i]]
     q = p.copy()
     free = sensor
     t = 0
@@ -492,14 +504,13 @@ def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flag
         c = k - t
         for j in live:
             c = _pair_repeats(a, j, q, h, steps, mover, rounds, delta, guard, c)
-        for i in track:
-            if mover[i]:
-                x, y = q[i]
-                dx, dy = steps[i]
-                for _ in range(c + 1):
-                    x += dx
-                    y += dy
-                q[i] = [x, y]
+        for i in moving + [a] if mover[a] else moving:
+            x, y = q[i]
+            dx, dy = steps[i]
+            for _ in range(c + 1):
+                x += dx
+                y += dy
+            q[i] = [x, y]
         t += c + 1
         if t > k:
             break
