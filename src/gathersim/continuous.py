@@ -111,20 +111,22 @@ pairs (a, j), and the (at most two) pairs (a, j) below it are live: the
 partner of a's hold, or the agent that blocks a. A window shorter than
 `_WINDOW_MIN` is not opened, and then no window is tried until the count
 that stopped it has run out; a pair without a that stopped it is counted
-first at the next try. Inside the window nothing
-is sensed (`_chatter`). Each stretch in which a keeps its flag is an
-ordinary count of the live pairs; where it ends, a toggle re-decides a's
-sensor flag, and each live partner's, from the live pairs with the sensor's
-float expressions at the stored positions (every other input of those
-flags is certified), and reruns the hold rounds there. The window ends, and
-the next substep is sensed as usual, where a live pair would cross delta,
-another agent's final flag would change or a hold round's flags are not
-certified, and after its k substeps. A coordinate changes only by its
-owner's additions x += step * h, so the agents of F0 get t additions and a
-gets s, the floats that sensing every substep gives. The guard still holds:
-a pair's stored difference drifts by at most rho per substep whether a
-moves or not, and the ray w_j - d_a is rounded once, as w is in a count,
-so g = e + left * rho covers (t, s) as it covers t.
+first at the next try. Inside the window nothing is sensed (`_chatter`).
+Each stretch in which a keeps its flag is an ordinary count of the live
+pairs; where it ends, a toggle re-decides a's sensor flag, and each live
+partner's, from the live pairs with the sensor's float expressions at the
+stored positions of a and its partners (every other input of those flags is
+certified), and reruns the hold rounds: the live pairs within delta there,
+and every other pair within delta by the holds it makes at the window's
+start in a round with the same certified flags, which repeat. The window
+ends, and the next substep is sensed as usual, where a live pair would
+cross delta, another agent's final flag would change or a hold round's
+flags are not certified, and after its k substeps. A coordinate changes
+only by its owner's additions x += step * h, so the agents of F0 get t
+additions and a gets s, the floats that sensing every substep gives. The
+guard still holds: a pair's stored difference drifts by at most rho per
+substep whether a moves or not, and the ray w_j - d_a is rounded once, as w
+is in a count, so g = e + left * rho covers (t, s) as it covers t.
 
 The integrator, `_advance_interval`, senses each sensed substep with one
 `geometry.blind_zone_sensor` call, dense over agents in numpy, and lists
@@ -359,7 +361,7 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
     docstring). pos is never written; it is returned as it is when no agent
     moves in the first substep."""
     n = pos.shape[0]
-    heading = np.stack([hx, hy], axis=1)
+    heading = np.column_stack((hx, hy))
     move = step * heading
     delta2 = delta * delta
     coord = 2.0 * float(np.abs(pos).max()) + 2.0  # X, bounds every coordinate of the interval
@@ -367,7 +369,8 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
     drift = 8.0 * _UNIT_ROUNDOFF * coord  # rho, one substep's rounding of a pair difference
     h = heading.tolist()
     steps = move.tolist()
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    index = np.arange(n)
+    upper = index[:, None] < index
     last = None  # the pair that ended the previous count at 0
     before = None  # the sensor flags, hold rounds and final movers of the last decided substep
     stop = None  # the pair that stopped the last chatter window short, tried first
@@ -419,9 +422,11 @@ def _advance_interval(pos, hx, hy, delta, step, nsub):
                     continue
         before = (sensor, rounds, mover)
         free = np.array(mover)
-        new = np.where(free[:, None], pos + move, pos)
         if k:
-            new[free] = _repeat_add(new[free], move[free], k)
+            new = pos.copy()
+            new[free] = _repeat_add(pos[free], move[free], 1 + k)
+        else:
+            new = np.where(free[:, None], pos + move, pos)
         pos = new
         left -= 1 + k
     return pos
@@ -487,16 +492,20 @@ def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flag
     substep."""
     n = len(p)
     delta2 = delta * delta
-    certified = set(map(tuple, flags))
     fixed = mover  # every other agent's final flag in the window
     # whether a pair that the window certifies blocks a, and each live partner
     block = any(_sensed(a, j, p, h, delta2)[1] for j in range(n) if j != a and j not in live)
     blocked = [any(_sensed(j, i, p, h, delta2)[1] for i in range(n) if i != a and i != j)
                for j in live]
     beyond = [_sensed(a, j, p, h, delta2)[0] for j in live]
-    # the agents whose stored positions a toggle reads, kept in q
-    track = sorted({a, *live, *(x for pair in pairs for x in pair)})
-    moving = [i for i in track if i != a and fixed[i]]
+    # the live pairs within delta, and the holds that the other pairs within
+    # delta make in each certified round, which repeat over the window
+    near = [pair for pair in pairs if a in pair and pair[pair[0] == a] in live]
+    others = [pair for pair in pairs if pair not in near]
+    held = {tuple(free): _held(others, p, h, steps, free, delta2) for free in flags} if pairs else {}
+    # a and the live partners, whose stored positions a toggle reads, kept in q
+    track = sorted({a, *live})
+    moving = [j for j in live if fixed[j]]
     q = p.copy()
     free = sensor
     t = 0
@@ -525,12 +534,12 @@ def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flag
                 toggle[a] = False
             toggle[j] = not (other or blocks_j)
         else:
-            held = _hold_rounds(pairs, q, h, steps, toggle, delta2)
-            final = held[-1] if held else toggle
-            if (final[:a] == fixed[:a] and final[a + 1:] == fixed[a + 1:]
-                    and all(tuple(r) in certified for r in held)):
-                free, rounds, mover = toggle, held, final
-                continue
+            toggled = _hold_rounds(near, q, h, steps, toggle, delta2, held)
+            if toggled is not None:
+                final = toggled[-1] if toggled else toggle
+                if final[:a] == fixed[:a] and final[a + 1:] == fixed[a + 1:]:
+                    free, rounds, mover = toggle, toggled, final
+                    continue
         break
     new = pos.copy()
     rest = np.array(fixed)
@@ -540,7 +549,7 @@ def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flag
     return new, t, (free, rounds, mover)
 
 
-def _hold_rounds(pairs, p, h, steps, mover, delta2):
+def _hold_rounds(pairs, p, h, steps, mover, delta2, others=None):
     """The free flags of every hold round of the sliding rule over the
     pairs (i < j) within delta at the sensed positions p, starting from the
     sensor's flags mover; empty when no pair is within delta. The last
@@ -549,39 +558,54 @@ def _hold_rounds(pairs, p, h, steps, mover, delta2):
     sensor's test), and each of its free members is held when the other
     lies in its closed back half-plane, h_i . d <= 0 and h_j . -d <= 0
     (both when neither does); every decision of a round reads the flags
-    the round started with."""
+    the round started with. In a chatter window pairs are only the live
+    pairs within delta, and others maps the flags of each certified round
+    to the agents that the other pairs within delta hold in it; the rounds
+    are None once a round's flags are not certified."""
     rounds = []
-    while pairs:
+    while pairs or others:
         rounds.append(mover)
-        held = []
-        for i, j in pairs:
-            free_i = mover[i]
-            free_j = mover[j]
-            if not (free_i or free_j):
-                continue
-            xi, yi = p[i]
-            xj, yj = p[j]
-            if free_i:
-                xi += steps[i][0]
-                yi += steps[i][1]
-            if free_j:
-                xj += steps[j][0]
-                yj += steps[j][1]
-            dx = xj - xi
-            dy = yj - yi
-            if dx * dx + dy * dy > delta2:
-                back_i = free_i and h[i][0] * dx + h[i][1] * dy <= 0.0
-                back_j = free_j and h[j][0] * -dx + h[j][1] * -dy <= 0.0
-                if back_i or not back_j:
-                    held.append(i)
-                if back_j or not back_i:
-                    held.append(j)
+        held = _held(pairs, p, h, steps, mover, delta2)
+        if others is not None:
+            fixed = others.get(tuple(mover))
+            if fixed is None:
+                return None
+            held += fixed
         if not held:
             break
         mover = mover.copy()
         for i in held:
             mover[i] = False
     return rounds
+
+
+def _held(pairs, p, h, steps, mover, delta2):
+    """The agents that one hold round with free flags mover holds over
+    pairs, as _hold_rounds decides them."""
+    held = []
+    for i, j in pairs:
+        free_i = mover[i]
+        free_j = mover[j]
+        if not (free_i or free_j):
+            continue
+        xi, yi = p[i]
+        xj, yj = p[j]
+        if free_i:
+            xi += steps[i][0]
+            yi += steps[i][1]
+        if free_j:
+            xj += steps[j][0]
+            yj += steps[j][1]
+        dx = xj - xi
+        dy = yj - yi
+        if dx * dx + dy * dy > delta2:
+            back_i = free_i and h[i][0] * dx + h[i][1] * dy <= 0.0
+            back_j = free_j and h[j][0] * -dx + h[j][1] * -dy <= 0.0
+            if back_i or not back_j:
+                held.append(i)
+            if back_j or not back_i:
+                held.append(j)
+    return held
 
 
 def _repeat_add(x, d, k):
