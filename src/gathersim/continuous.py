@@ -534,11 +534,11 @@ def _chatter(a, pos, p, h, steps, move, sensor, rounds, mover, pairs, live, flag
                 toggle[a] = False
             toggle[j] = not (other or blocks_j)
         else:
-            toggled = _hold_rounds(near, q, h, steps, toggle, delta2, held)
-            if toggled is not None:
-                final = toggled[-1] if toggled else toggle
+            trial = _hold_rounds(near, q, h, steps, toggle, delta2, held)
+            if trial is not None:
+                final = trial[-1] if trial else toggle
                 if final[:a] == fixed[:a] and final[a + 1:] == fixed[a + 1:]:
-                    free, rounds, mover = toggle, toggled, final
+                    free, rounds, mover = toggle, trial, final
                     continue
         break
     new = pos.copy()
